@@ -78,7 +78,6 @@ from repro.core import (
     greedy_max,
     greedy_one,
     impacts,
-    lazy_greedy_all,
     marginal_gains,
     max_objective,
     minimal_perfect_filter_set,
@@ -127,7 +126,6 @@ __all__ = [
     "impacts",
     "marginal_gains",
     "greedy_all",
-    "lazy_greedy_all",
     "greedy_max",
     "greedy_one",
     "greedy_l",

@@ -7,12 +7,10 @@ design); the reproduced claim is the *relative ordering*
 ``G_1 ≪ {G_L, G_Max} < G_All``.
 
 Beyond the stopwatch, every measurement carries the propagation
-evaluation counters (via :class:`repro.bench.instrument.CountingBackend`)
-— **total** and **per placement step** — so the lazy-greedy savings are
-visible where they happen: eager ``Greedy_All`` charges one
-``marginal_gains`` sweep to every step, while CELF charges one
-``session_init`` sweep to the first step and only regional
-``session_update``/``session_refresh`` operations to the rest.
+evaluation counters (via :class:`repro.obs.instrument.InstrumentedBackend`)
+— **total** and **per placement step**: ``Greedy_All`` charges one
+``marginal_gains`` sweep to every step, the heuristics charge their
+scoring sweeps to the steps that used them.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ class RuntimeMeasurement:
     """Cost to place ``k`` filters with one algorithm.
 
     ``evaluations`` is the ground-truth counter ledger of one placement
-    run (keys from :data:`repro.bench.instrument.EVALUATION_KINDS`).
+    run (keys from :data:`repro.obs.instrument.EVALUATION_KINDS`).
     ``step_evaluations`` breaks the work down per placement step, from
     the algorithm's own :class:`~repro.core.base.PlacementStep` records —
     one dict per chosen filter, in selection order.
@@ -50,7 +48,7 @@ class RuntimeMeasurement:
 
     def sweeps(self) -> int:
         """Full-graph propagation sweeps this run performed."""
-        from repro.bench.instrument import sweep_count
+        from repro.obs.instrument import sweep_count
 
         return sweep_count(self.evaluations)
 
@@ -75,7 +73,7 @@ def time_algorithm(
     if repeats <= 0:
         raise ParameterError("repeats must be positive")
     from repro.backends.registry import get_default_backend, use_backend
-    from repro.bench.instrument import CountingBackend
+    from repro.obs.instrument import InstrumentedBackend
 
     algorithm = get_algorithm(algorithm_name)
     best = float("inf")
@@ -88,7 +86,7 @@ def time_algorithm(
         # cached topological orders) would otherwise land on whichever
         # propagation-using algorithm happens to run first.
         active.warm(graph)
-        counting = CountingBackend(active)
+        counting = InstrumentedBackend(active)
         with use_backend(counting):
             for _ in range(repeats):
                 counting.reset()

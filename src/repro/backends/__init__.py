@@ -12,24 +12,13 @@ protocol:
   (:class:`~repro.backends.numpy_backend.NumpyBackend`).
 * ``auto`` — ``numpy`` when available, else ``python``.
 
-Each backend also provides an incremental impact path: ``gain_session``
-opens a :class:`~repro.backends.base.GainSession` that keeps ``ψ``/``W``
-state alive and re-settles only the affected DAG region after each
-placement — the engine behind the lazy-greedy (CELF) optimizer
-(:mod:`repro.core.celf`).
-
 The registry (:mod:`repro.backends.registry`) owns instances and the
 process default; :mod:`repro.propagation.engine`, :mod:`repro.core` and
 the CLI all route through it.
 """
 
-from repro.backends.base import GainSession, PropagationBackend
-from repro.backends.incremental import ExactGainSession
-from repro.backends.numpy_backend import (
-    NumpyBackend,
-    NumpyGainSession,
-    numpy_available,
-)
+from repro.backends.base import PropagationBackend
+from repro.backends.numpy_backend import NumpyBackend, numpy_available
 from repro.backends.python_backend import PythonBackend
 from repro.backends.registry import (
     BACKEND_NAMES,
@@ -43,11 +32,8 @@ from repro.backends.registry import (
 
 __all__ = [
     "PropagationBackend",
-    "GainSession",
     "PythonBackend",
     "NumpyBackend",
-    "ExactGainSession",
-    "NumpyGainSession",
     "numpy_available",
     "BACKEND_NAMES",
     "available_backends",

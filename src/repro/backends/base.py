@@ -22,37 +22,23 @@ Contract (shared by all backends, enforced by the equivalence tests):
   only representation-specific adapters over it (the NumPy backend's
   level groupings), never a second copy of the structure.
 
-Beyond the one-shot sweep queries, every backend also offers an
-**incremental impact path**: :meth:`PropagationBackend.gain_session`
-returns a :class:`GainSession` that keeps ``ψ`` (per-source receipts),
-``W`` (the absorbing suffix) and every marginal gain ``I(v | A)`` alive
-across placements.  After a filter is placed the session recomputes the
-deltas only inside the *affected DAG region* — descendants of the new
-filter for ``ψ``, ancestors for ``W`` — instead of re-sweeping the whole
-graph.  This is what makes the lazy-greedy (CELF) optimizer
-(:class:`repro.core.celf.CelfGreedyAll`) cheap: a single full sweep up
-front, then per-placement regional updates and O(1) per-candidate gain
-reads.
-
-Both backends additionally expose a **sweep tier** (``tier="bitpack"`` or
-``"lanes"`` at construction): ``bitpack`` answers the aggregate queries
-from bit-packed source-reachability words (two sweeps total, independent
-of the source count) while ``lanes`` keeps the historical one-lane-per-
-source formulation as the differential reference.  Tiers change only the
-*route* to a number, never the number — the fuzz harness holds them
-bit-identical.  See :mod:`repro.backends.probe` for how each route picks
-a safely-wide representation before committing to fixed-width arithmetic.
+Every query has exactly one evaluation path per backend: the eager
+bit-packed formulation, which answers the aggregate queries from
+packed source-reachability counts (a cached per-graph constant) plus
+two sweeps per evaluation, independent of the source count.  See
+:mod:`repro.backends.probe` for how each route picks a safely-wide
+representation before committing to fixed-width arithmetic.
 
 Implementations live next to this module:
 
 * :class:`repro.backends.python_backend.PythonBackend` — the exact
-  arbitrary-precision engine (per-source dict sweeps).
+  arbitrary-precision engine (index sweeps over big integers).
 * :class:`repro.backends.numpy_backend.NumpyBackend` — the dense vectorized
   engine (levelized batched sweeps, int64 with overflow detection).
 
 Use :func:`repro.backends.registry.get_backend` /
 :func:`repro.backends.registry.use_backend` to select one, or
-:func:`repro.backends.registry.build_backend` for a tier-pinned instance.
+:func:`repro.backends.registry.build_backend` for a private instance.
 """
 
 from __future__ import annotations
@@ -66,80 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.propagation.model import PropagationModel
 
 Node = Hashable
-
-
-@runtime_checkable
-class GainSession(Protocol):
-    """Incremental marginal-gain state for one graph and a growing ``A``.
-
-    A session owns the sweep state — ``ψ_s(v)`` per source, the absorbing
-    suffix ``W(v)``, and the gains ``I(v | A) = Σ_s max(ψ_s(v) − 1, 0) ·
-    W(v)`` — and keeps it *exact* while filters are added one by one.
-    Placing a filter ``f`` can only change ``ψ`` on descendants of ``f``
-    and ``W`` on ancestors of ``f``, so :meth:`add_filter` updates just
-    that region and reports which nodes' gains actually moved.
-
-    Sessions honour the same exactness contract as the one-shot queries:
-    after any sequence of :meth:`add_filter` calls, :meth:`gains` is
-    bit-identical to ``backend.marginal_gains(graph, A)`` on every
-    backend.
-    """
-
-    #: Name of the backend whose engine computes the deltas.
-    backend_name: str
-
-    @property
-    def filters(self) -> "frozenset[Node]":
-        """The current filter set ``A``."""
-        ...  # pragma: no cover
-
-    @property
-    def nodes_touched(self) -> int:
-        """Cumulative node recomputations performed by incremental updates.
-
-        The honest cost gauge for laziness: a full sweep touches every
-        node once per source; an incremental update touches only the
-        affected region.  Engine-dependent (the vectorized backend
-        touches a column for all sources at once), so compare within one
-        backend, never across.
-        """
-        ...  # pragma: no cover
-
-    def gains(self) -> dict[Node, int]:
-        """All current gains ``I(v | A)``, keyed in ``graph.nodes()`` order."""
-        ...  # pragma: no cover
-
-    def gain(self, node: Node) -> int:
-        """The current exact gain ``I(node | A)`` — an O(1) state read."""
-        ...  # pragma: no cover
-
-    def add_filter(self, node: Node) -> "frozenset[Node]":
-        """Place ``node``, update the affected region, return changed nodes.
-
-        The returned set contains every node whose gain differs from its
-        value before the call (including ``node`` itself, whose gain
-        drops to 0); gains of all other nodes are *provably* unchanged.
-        """
-        ...  # pragma: no cover
-
-    # -- id fast path ---------------------------------------------------
-    # Mirrors of the three methods above over the compiled view's
-    # interned ids (:meth:`repro.graphs.cgraph.CGraph.compiled`): a gain
-    # list indexed by id, an O(1) id read, and an id-returning update.
-    # The optimizers (CELF) drive sessions exclusively through these so
-    # node objects appear only at the PlacementResult boundary.
-
-    def gains_ids(self) -> "Sequence[int]":
-        """All current gains as a list indexed by interned node id."""
-        ...  # pragma: no cover
-
-    def gain_id(self, node_id: int) -> int:
-        """The current exact gain of one interned id — an O(1) read."""
-        ...  # pragma: no cover
-
-    def add_filter_id(self, node_id: int) -> "Collection[int]":
-        """Place an interned id; return the ids whose gains changed."""
-        ...  # pragma: no cover
 
 
 @runtime_checkable
@@ -209,19 +121,6 @@ class PropagationBackend(Protocol):
         """``I'(v)`` as a list indexed by interned node id."""
         ...  # pragma: no cover
 
-    def gain_session(
-        self,
-        graph: CGraph,
-        filters: Collection[Node] = (),
-    ) -> GainSession:
-        """Open an incremental :class:`GainSession` starting from ``A``.
-
-        Construction costs one full sweep (the same work as a single
-        :meth:`marginal_gains` call); every subsequent
-        :meth:`GainSession.add_filter` is regional.
-        """
-        ...  # pragma: no cover
-
     # -- propagation-model axis -----------------------------------------
     # Sample-average evaluation under a probabilistic relaying model
     # (:class:`repro.propagation.model.PropagationModel`).  The contract
@@ -281,23 +180,6 @@ class PropagationBackend(Protocol):
         model: "PropagationModel | None" = None,
     ) -> dict[Node, float]:
         """SAA estimate of ``E[I(v | A)]`` for every node at once."""
-        ...  # pragma: no cover
-
-    def sampled_gain_session(
-        self,
-        graph: CGraph,
-        filters: Collection[Node] = (),
-        *,
-        model: "PropagationModel | None" = None,
-    ) -> GainSession:
-        """A :class:`GainSession` over the summed-over-worlds SAA gains.
-
-        With ``model=None`` this is exactly :meth:`gain_session`.  The
-        SAA session satisfies the same interface; its updates recompute
-        the batched gains rather than walking a regional wavefront, so
-        CELF stays correct (and still saves its O(1) stale refreshes)
-        at eager-like per-placement cost.
-        """
         ...  # pragma: no cover
 
     def warm(self, graph: CGraph) -> None:

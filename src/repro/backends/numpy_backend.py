@@ -2,40 +2,31 @@
 
 Strategy
 --------
-The exact engine walks the topological order node by node, per source, in
-Python.  This backend reuses the **shared compiled view**'s levelization
+The exact engine walks the topological order node by node in Python.
+This backend reuses the **shared compiled view**'s levelization
 (:meth:`repro.graphs.cgraph.CGraph.compiled`: level = longest path from
 any root, so every edge crosses strictly upward), adapts its CSR arrays
 to ndarrays once per graph, and then runs every sweep as a handful of
-array operations per level:
+array operations per level, each edge bundle folded with
+``np.add.reduceat``:
 
-* **Forward ψ pass** — all sources at once.  ``psi`` is a
-  ``(num_sources, num_nodes)`` int64 matrix; for each level the emission
-  block is ``ψ`` clamped to one on filter columns (and pinned to one on
-  each source's own column), and a single ``np.add.at`` scatters it along
-  the level's out-edges.  One pass prices *every* item simultaneously.
+* **Packed reachability** — ``nreach(v)``, the number of sources
+  reaching ``v``, swept once per graph over ``uint64`` words (64
+  sources per lane) by the blocked warm of
+  :mod:`repro.propagation.reach` and cached on the compiled view.
+* **Forward T pass** — the aggregate totals ``T(v) = Σ_s ψ_s(v)`` in
+  one 1-D sweep, whatever the source count.
 * **Backward W pass** — the absorbing suffix
-  ``W(v) = Σ_{u ∈ children(v)} (1 + [u ∉ A]·W(u))`` as one gather/scatter
-  per level in reverse.
-* ``I(v | A) = (Σ_s max(ψ_s(v) − 1, 0)) · W(v)`` and
-  ``I'(v) = (Σ_s ψ_s(v)) · dout(v)`` are then elementwise products.
+  ``W(v) = Σ_{u ∈ children(v)} (1 + [u ∉ A]·W(u))`` as one
+  gather/scatter per level in reverse.
+* ``I(v | A) = (T(v) − nreach(v)) · W(v)`` and
+  ``I'(v) = T(v) · dout(v)`` are then elementwise products.  Adding
+  filters never cuts a source off, so ``Σ_s max(ψ_s − 1, 0) = T −
+  nreach`` for any filter set.
 
-Sweep tiers
------------
-Like the python backend, this backend exposes two deterministic sweep
-**tiers**, chosen at construction and bit-identical by contract:
-
-* ``bitpack`` (default) — source reachability is packed into ``uint64``
-  words (64 sources per lane) and swept once per graph with
-  ``np.bitwise_or.reduceat`` popcount gathers; every evaluation then
-  runs **two** 1-D sweeps — the aggregate totals ``T(v) = Σ_s ψ_s(v)``
-  and the suffix ``W`` — regardless of the source count, using
-  ``I(v | A) = (T(v) − nreach(v)) · W(v)`` (``nreach`` is the packed
-  popcount of sources reaching ``v``: since adding filters never cuts a
-  source off, ``Σ_s max(ψ_s − 1, 0) = T − nreach`` for any filter set).
-* ``lanes`` — the historical per-source formulation: the
-  ``(num_sources, n)`` ψ matrix.  Kept as the differential reference and
-  the ``bitpack_speedup`` bench baseline.
+Only ``node_receipts`` with per-source ``items_per_source`` weights still
+builds the ``(num_sources, n)`` ψ matrix, because the weights apply per
+item.
 
 Exactness and overflow
 ----------------------
@@ -63,12 +54,12 @@ from repro.exceptions import MissingSourceError
 from repro.graphs.cgraph import CGraph
 from repro.graphs.validation import validate_filter_set
 from repro.backends.probe import OVERFLOW_LIMIT, pick_representation
-from repro.backends.python_backend import PythonBackend, check_tier
+from repro.backends.python_backend import PythonBackend
 from repro.backends.sampled import SampledEvaluationMixin
 
 Node = Hashable
 
-__all__ = ["NumpyBackend", "NumpyGainSession", "numpy_available", "OVERFLOW_LIMIT"]
+__all__ = ["NumpyBackend", "numpy_available", "OVERFLOW_LIMIT"]
 
 _NUMPY_AVAILABLE: bool | None = None
 
@@ -157,26 +148,17 @@ class _Plan:
     compiled: Any = None
     levels: list[_Level] = field(default_factory=list)
     out_degree: Any = None  # int64[n]
-    #: Level (longest path from any root) per node; intp[n].
-    depth: Any = None
-    num_levels: int = 0
-    #: Global out-CSR (natural insertion order) — successors of node v sit
-    #: at ``out_dst[out_offsets[v]:out_offsets[v+1]]``.
+    #: Out-CSR row starts (natural insertion order): node v's out-edges
+    #: are global edge positions ``out_offsets[v]:out_offsets[v+1]``.
     out_offsets: Any = None  # intp[n+1]
-    out_dst: Any = None  # intp[m]
-    #: Global in-CSR — predecessors of node v sit at
-    #: ``in_src[in_offsets[v]:in_offsets[v+1]]``.
-    in_offsets: Any = None  # intp[n+1]
-    in_src: Any = None  # intp[m]
     #: ψ-matrix row of the source whose column this is, −1 elsewhere.
     col_to_row: Any = None  # intp[n]
-    #: 1 on source columns, 0 elsewhere — the bitpack tier's per-node
-    #: emission bonus (a designated source emits its own item on top of
-    #: whatever it relays).
+    #: 1 on source columns, 0 elsewhere — the per-node emission bonus (a
+    #: designated source emits its own item on top of whatever it relays).
     src_bonus: Any = None  # int64[n]
-    #: Lazily-built packed reachability counts (the bitpack tier's
-    #: per-graph constant): ``nreach[v]`` = number of sources reaching
-    #: ``v``, excluding ``v`` itself.  ``None`` until first needed.
+    #: Lazily-built packed reachability counts (a per-graph constant):
+    #: ``nreach[v]`` = number of sources reaching ``v``, excluding ``v``
+    #: itself.  ``None`` until first needed.
     nreach: Any = None  # int64[n] | None
     #: max over v of (Σ_s ψ_∅(v)) · W_∅(v) — bounds every gain/score.
     prod_bound: float = 0.0
@@ -230,16 +212,13 @@ class NumpyBackend(SampledEvaluationMixin):
 
     name = "numpy"
 
-    def __init__(self, *, tier: str = "bitpack") -> None:
+    def __init__(self) -> None:
         import weakref
 
         import numpy as np
 
-        self.tier = check_tier(tier)
         self._np = np
-        # The exact-fallback backend rides the same tier, so a pinned
-        # lanes backend stays lanes end to end (bench baseline purity).
-        self._exact = PythonBackend(tier=tier)
+        self._exact = PythonBackend()
         # Weak-keyed (CGraph is immutable and identity-hashed): plans die
         # with their graphs instead of pinning discarded graphs alive in
         # the registry's singleton backend.
@@ -271,19 +250,6 @@ class NumpyBackend(SampledEvaluationMixin):
             self._plans[graph] = plan
         return plan
 
-    def _multi_arange(self, starts: Any, lengths: Any) -> Any:
-        """Concatenate ``arange(start, start+length)`` runs, vectorized."""
-        np = self._np
-        keep = lengths > 0
-        starts, lengths = starts[keep], lengths[keep]
-        if starts.size == 0:
-            return np.empty(0, dtype=np.intp)
-        steps = np.ones(int(lengths.sum()), dtype=np.intp)
-        steps[0] = starts[0]
-        run_ends = np.cumsum(lengths)[:-1]
-        steps[run_ends] = starts[1:] - (starts[:-1] + lengths[:-1]) + 1
-        return np.cumsum(steps)
-
     def _build_plan(self, graph: CGraph) -> _Plan:
         """Adapt the shared compiled view for the vectorized sweeps.
 
@@ -313,16 +279,9 @@ class NumpyBackend(SampledEvaluationMixin):
         dst = np.array(compiled.out_targets, dtype=np.intp)
         plan.out_degree = counts.astype(np.int64)
         plan.out_offsets = np.array(compiled.out_offsets, dtype=np.intp)
-        plan.out_dst = dst
-        # Global in-CSR (edges grouped by destination) — the incremental
-        # gain session recomputes a node's receipts from all its parents.
-        plan.in_offsets = np.array(compiled.in_offsets, dtype=np.intp)
-        plan.in_src = np.array(compiled.in_sources, dtype=np.intp)
 
         num_levels = compiled.num_levels
         depth = np.array(compiled.depth, dtype=np.intp)
-        plan.depth = depth
-        plan.num_levels = num_levels
         # compiled.topo_order is sorted by (depth, id) — exactly the
         # stable by-level node grouping, with the level partition already
         # computed.
@@ -469,7 +428,7 @@ class NumpyBackend(SampledEvaluationMixin):
         row per source, so it is the only place the ``(num_sources, n)``
         float64 matrix still exists.  Deferred here because only the
         sampled-world state builder consumes it, and the probabilistic
-        tiers never run at the source counts where the matrix hurts.
+        model never runs at the source counts where the matrix hurts.
         """
         if plan.fwd_levelsum_bound is None:
             np = self._np
@@ -512,7 +471,7 @@ class NumpyBackend(SampledEvaluationMixin):
         ids = list(filter_ids)
         if ids:
             # Negative ids would wrap (ndarray indexing) and silently
-            # filter the wrong node; reject them like the id sessions do.
+            # filter the wrong node; reject them as unknown nodes.
             if min(ids) < 0 or max(ids) >= plan.n:
                 from repro.exceptions import MissingNodeError
 
@@ -521,36 +480,22 @@ class NumpyBackend(SampledEvaluationMixin):
         return mask
 
     def _gains_array(self, plan: _Plan, mask: Any) -> Any:
-        """``I(v | A)`` as an int64 array for a prepared boolean mask.
-
-        The bitpack tier computes ``(T − nreach) · W`` (two 1-D sweeps);
-        the lanes tier sums ``max(ψ_s − 1, 0)`` over the ψ matrix (one
-        row per source).  Bit-identical: ``ψ_s(v) ≥ 1`` exactly when
-        ``s`` reaches ``v``, for every filter set.
-        """
-        np = self._np
-        w = self._suffix_vector(plan, mask)
-        if self.tier == "bitpack":
-            totals = self._totals_vector(plan, mask)
-            gains = (totals - self._nreach(plan)) * w
-        else:
-            psi = self._psi_matrix(plan, mask)
-            surplus = psi - 1
-            np.maximum(surplus, 0, out=surplus)
-            gains = surplus.sum(axis=0) * w
+        """``I(v | A) = (T − nreach) · W`` as an int64 array (two sweeps)."""
+        totals = self._totals_vector(plan, mask)
+        gains = (totals - self._nreach(plan)) * self._suffix_vector(plan, mask)
         gains[mask] = 0
         return gains
 
     def _impact_scores(self, plan: _Plan, mask: Any) -> Any:
-        """``I'(v) = T(v) · dout(v)`` as an int64 array (tier-dispatched)."""
-        if self.tier == "bitpack":
-            totals = self._totals_vector(plan, mask)
-        else:
-            totals = self._psi_matrix(plan, mask).sum(axis=0)
-        return totals * plan.out_degree
+        """``I'(v) = T(v) · dout(v)`` as an int64 array (one sweep)."""
+        return self._totals_vector(plan, mask) * plan.out_degree
 
     def _psi_matrix(self, plan: _Plan, mask: Any) -> Any:
-        """``ψ`` for all sources at once: shape ``(num_sources, n)``."""
+        """``ψ`` for all sources at once: shape ``(num_sources, n)``.
+
+        Only per-source weighted receipts need the per-item rows; every
+        other query runs on the aggregate totals.
+        """
         np = self._np
         psi = np.zeros((len(plan.sources), plan.n), dtype=np.int64)
         for lvl in plan.levels:
@@ -585,7 +530,7 @@ class NumpyBackend(SampledEvaluationMixin):
         return w
 
     # ------------------------------------------------------------------
-    # Bit-packed tier: packed reachability + aggregate totals
+    # Packed reachability + aggregate totals
     # ------------------------------------------------------------------
 
     def _nreach(self, plan: _Plan) -> Any:
@@ -670,27 +615,6 @@ class NumpyBackend(SampledEvaluationMixin):
     # PropagationBackend interface
     # ------------------------------------------------------------------
 
-    def gain_session(
-        self,
-        graph: CGraph,
-        filters: Collection[Node] = (),
-    ):
-        """Open an incremental :class:`GainSession` (vectorized).
-
-        Construction runs one batched ``ψ``/``W`` sweep; each subsequent
-        ``add_filter`` re-settles only the dirty columns level by level.
-        Graphs whose counts could overflow int64 transparently get the
-        exact big-int session instead — same results, slower deltas.
-        """
-        if not graph.sources:
-            raise MissingSourceError("graph has no sources")
-        filter_set = set(filters)
-        validate_filter_set(graph, filter_set)
-        plan = self.plan_for(graph)
-        if plan.exact_only:
-            return self._exact.gain_session(graph, filter_set)
-        return NumpyGainSession(self, graph, plan, filter_set)
-
     def node_receipts(
         self,
         graph: CGraph,
@@ -725,10 +649,10 @@ class NumpyBackend(SampledEvaluationMixin):
                 graph, filters, items_per_source=items_per_source
             )
         mask = self._filter_mask(plan, filters)
-        if self.tier == "bitpack" and not isinstance(items_per_source, Mapping):
+        if not isinstance(items_per_source, Mapping):
             # Uniform weights scale the aggregate totals directly — one
             # T sweep instead of one ψ row per source.  Per-source
-            # mappings weight individual lanes and keep the ψ matrix.
+            # mappings weight individual items and need the ψ matrix.
             totals = self._totals_vector(plan, mask) * max(items_per_source, 0)
         else:
             psi = self._psi_matrix(plan, mask)
@@ -755,7 +679,7 @@ class NumpyBackend(SampledEvaluationMixin):
         graph: CGraph,
         filters: Collection[Node] = (),
     ) -> dict[Node, int]:
-        """``I(v | A) = (Σ_s max(ψ_s(v) − 1, 0)) · W(v)``, vectorized."""
+        """``I(v | A) = (T(v) − nreach(v)) · W(v)``, vectorized."""
         if not graph.sources:
             raise MissingSourceError("graph has no sources")
         filter_set = set(filters)
@@ -785,7 +709,7 @@ class NumpyBackend(SampledEvaluationMixin):
         graph: CGraph,
         filters: Collection[Node] = (),
     ) -> dict[Node, int]:
-        """``Greedy_L``'s ``I'(v) = (Σ_s ψ_s(v)) · dout(v)``, vectorized."""
+        """``Greedy_L``'s ``I'(v) = T(v) · dout(v)``, vectorized."""
         filter_set = set(filters)
         validate_filter_set(graph, filter_set)
         plan = self.plan_for(graph)
@@ -1086,259 +1010,20 @@ class NumpyBackend(SampledEvaluationMixin):
         psi = self._sampled_psi(plan, state, mask)
         return sum(psi.sum(axis=0, dtype=np.int64).tolist())
 
-    # expected_total_receipts / expected_marginal_gains /
-    # sampled_gain_session come from SampledEvaluationMixin — one shared
-    # reporting boundary over this backend's batched sampled sweeps.
+    # expected_total_receipts / expected_marginal_gains come from
+    # SampledEvaluationMixin — one shared reporting boundary over this
+    # backend's batched sampled sweeps.
 
     def warm(self, graph: CGraph) -> None:
         """Adapt (and cache) the shared compiled plan outside timed regions.
 
-        On the bitpack tier this also runs the blocked reachability warm
-        (the tier's only other per-graph preprocessing), so timed solve
-        regions never pay for it.  Exact-only plans warm the delegate
-        backend instead — its sessions consume the same shared counts.
+        This also runs the blocked reachability warm (the only other
+        per-graph preprocessing), so timed solve regions never pay for
+        it.  Exact-only plans warm the delegate backend instead, which
+        consumes the same shared counts.
         """
         plan = self.plan_for(graph)
         if plan.exact_only:
             self._exact.warm(graph)
-        elif self.tier == "bitpack":
+        else:
             self._nreach(plan)
-
-
-class NumpyGainSession:
-    """Vectorized incremental gains: dirty-column waves over the levels.
-
-    State (all int64, safe because the plan's ``A = ∅`` overflow probe
-    bounds every value any filter set can produce — filters only shrink
-    ``ψ`` and ``W``):
-
-    * ``ψ`` — ``(num_sources, n)`` receipts matrix;
-    * ``emit`` — the matching per-edge emission matrix (``ψ`` clamped to
-      one on filter columns with receipts, pinned to one on each source's
-      own column), kept in sync so a node's receipts can be re-derived
-      from its parents alone;
-    * ``W`` — the absorbing suffix vector;
-    * ``surplus`` — ``Σ_s max(ψ_s(v) − 1, 0)`` per column;
-    * ``gains`` — ``surplus · W``, zeroed on filter columns.
-
-    :meth:`add_filter` runs two restricted wavefronts.  Forward: starting
-    from the new filter's successors, each level's dirty columns get
-    their receipts re-gathered from the global in-CSR; columns whose
-    ``ψ`` moved update ``surplus``/``emit``, and emission changes dirty
-    their successors.  Backward: the mirror image over the out-CSR for
-    ``W``, walking levels in reverse from the filter's predecessors.
-    Waves die out exactly where the full sweep would produce unchanged
-    numbers, so results stay bit-identical to
-    :meth:`NumpyBackend.marginal_gains` (and to the exact session).
-    """
-
-    backend_name = "numpy"
-
-    def __init__(
-        self,
-        backend: NumpyBackend,
-        graph: CGraph,
-        plan: _Plan,
-        filters: set[Node],
-    ) -> None:
-        np = backend._np
-        self._np = np
-        self._backend = backend
-        self._plan = plan
-        self._nodes_touched = 0
-
-        mask = backend._filter_mask(plan, filters)
-        psi = backend._psi_matrix(plan, mask)
-        w = backend._suffix_vector(plan, mask)
-        emit = np.where(mask[None, :], (psi > 0).astype(np.int64), psi)
-        rows = np.flatnonzero(plan.col_to_row >= 0)
-        emit[plan.col_to_row[rows], rows] = 1
-        surplus = np.maximum(psi - 1, 0).sum(axis=0)
-        gains = surplus * w
-        gains[mask] = 0
-
-        self._mask = mask
-        self._psi = psi
-        self._emit = emit
-        self._w = w
-        self._surplus = surplus
-        self._gains = gains
-
-    # ------------------------------------------------------------------
-    # GainSession interface
-    # ------------------------------------------------------------------
-
-    @property
-    def filters(self) -> frozenset[Node]:
-        np = self._np
-        nodes = self._plan.node_list
-        return frozenset(nodes[j] for j in np.flatnonzero(self._mask).tolist())
-
-    @property
-    def nodes_touched(self) -> int:
-        return self._nodes_touched
-
-    def gains(self) -> dict[Node, int]:
-        """All current ``I(v | A)``, keyed in ``graph.nodes()`` order."""
-        return dict(zip(self._plan.node_list, self._gains.tolist()))
-
-    def gain(self, node: Node) -> int:
-        """Current exact ``I(node | A)`` — one array read."""
-        return int(self._gains[self._plan.index[node]])
-
-    def add_filter(self, node: Node) -> frozenset[Node]:
-        """Place ``node``; re-settle dirty columns; return changed nodes."""
-        plan = self._plan
-        try:
-            i = plan.index[node]
-        except KeyError:
-            from repro.exceptions import MissingNodeError
-
-            raise MissingNodeError(node) from None
-        return frozenset(
-            plan.node_list[j] for j in self.add_filter_id(i)
-        )
-
-    def gains_ids(self) -> list[int]:
-        """All current gains as a fresh list indexed by interned id."""
-        return self._gains.tolist()
-
-    def gain_id(self, node_id: int) -> int:
-        """Current exact gain of one interned id — one array read."""
-        return int(self._gains[node_id])
-
-    def add_filter_id(self, node_id: int) -> list[int]:
-        """Place an interned id; re-settle dirty columns; return changed ids."""
-        np = self._np
-        plan = self._plan
-        i = node_id
-        if i < 0 or i >= plan.n:
-            from repro.exceptions import MissingNodeError
-
-            raise MissingNodeError(node_id)
-        if self._mask[i]:
-            from repro.exceptions import ParameterError
-
-            raise ParameterError(
-                f"node {plan.node_list[i]!r} is already a filter"
-            )
-
-        mask, psi, emit, w = self._mask, self._psi, self._emit, self._w
-        mask[i] = True
-        affected = np.zeros(plan.n, dtype=bool)
-        affected[i] = True
-
-        # Emission at the new filter drops from ψ to min(ψ, 1) per row
-        # (the row whose source *is* this column stays pinned at one).
-        old_emit_col = emit[:, i].copy()
-        new_emit_col = (psi[:, i] > 0).astype(np.int64)
-        row = plan.col_to_row[i]
-        if row >= 0:
-            new_emit_col[row] = 1
-        emit[:, i] = new_emit_col
-
-        dirty = np.zeros(plan.n, dtype=bool)
-        if (new_emit_col != old_emit_col).any():
-            dirty[self._successors_of(np.array([i], dtype=np.intp))] = True
-        self._forward_wave(i, dirty, affected)
-
-        dirty = np.zeros(plan.n, dtype=bool)
-        if w[i] > 0:
-            # Each predecessor's term for this child collapses from
-            # 1 + W to 1.
-            dirty[self._predecessors_of(np.array([i], dtype=np.intp))] = True
-        self._backward_wave(i, dirty, affected)
-
-        idx = np.flatnonzero(affected)
-        new_gains = self._surplus[idx] * w[idx]
-        new_gains[mask[idx]] = 0
-        self._gains[idx] = new_gains
-        return idx.tolist()
-
-    # ------------------------------------------------------------------
-    # Wavefronts
-    # ------------------------------------------------------------------
-
-    def _successors_of(self, cols: Any) -> Any:
-        plan = self._plan
-        counts = plan.out_offsets[cols + 1] - plan.out_offsets[cols]
-        pos = self._backend._multi_arange(plan.out_offsets[cols], counts)
-        return plan.out_dst[pos]
-
-    def _predecessors_of(self, cols: Any) -> Any:
-        plan = self._plan
-        counts = plan.in_offsets[cols + 1] - plan.in_offsets[cols]
-        pos = self._backend._multi_arange(plan.in_offsets[cols], counts)
-        return plan.in_src[pos]
-
-    def _forward_wave(self, start: int, dirty: Any, affected: Any) -> None:
-        """Re-settle ψ columns level by level below the new filter."""
-        np = self._np
-        plan = self._plan
-        mask, psi, emit = self._mask, self._psi, self._emit
-        for lvl in range(int(plan.depth[start]) + 1, plan.num_levels):
-            lvl_nodes = plan.levels[lvl].nodes
-            sel = dirty[lvl_nodes]
-            if not sel.any():
-                continue
-            cols = lvl_nodes[sel]
-            dirty[cols] = False
-            self._nodes_touched += int(cols.size)
-            # Dirty columns are successors of something, so every in-CSR
-            # segment below is non-empty — reduceat-safe.
-            in_counts = plan.in_offsets[cols + 1] - plan.in_offsets[cols]
-            parents = self._predecessors_of(cols)
-            seg_starts = np.concatenate(
-                ([0], np.cumsum(in_counts)[:-1])
-            ).astype(np.intp)
-            new_block = np.add.reduceat(emit[:, parents], seg_starts, axis=1)
-            changed = (new_block != psi[:, cols]).any(axis=0)
-            if not changed.any():
-                continue
-            ccols = cols[changed]
-            psi[:, ccols] = new_block[:, changed]
-            block = psi[:, ccols]
-            self._surplus[ccols] = np.maximum(block - 1, 0).sum(axis=0)
-            affected[ccols] = True
-            new_emit = np.where(
-                mask[ccols][None, :], (block > 0).astype(np.int64), block
-            )
-            rows = plan.col_to_row[ccols]
-            pinned = rows >= 0
-            if pinned.any():
-                new_emit[rows[pinned], np.flatnonzero(pinned)] = 1
-            emit_changed = (new_emit != emit[:, ccols]).any(axis=0)
-            emit[:, ccols] = new_emit
-            ecols = ccols[emit_changed]
-            if ecols.size:
-                dirty[self._successors_of(ecols)] = True
-
-    def _backward_wave(self, start: int, dirty: Any, affected: Any) -> None:
-        """Re-settle W columns level by level above the new filter."""
-        np = self._np
-        plan = self._plan
-        mask, w = self._mask, self._w
-        for lvl in range(int(plan.depth[start]) - 1, -1, -1):
-            lvl_nodes = plan.levels[lvl].nodes
-            sel = dirty[lvl_nodes]
-            if not sel.any():
-                continue
-            cols = lvl_nodes[sel]
-            dirty[cols] = False
-            self._nodes_touched += int(cols.size)
-            # Dirty columns are predecessors of something, so every
-            # out-CSR segment below is non-empty — reduceat-safe.
-            out_counts = plan.out_offsets[cols + 1] - plan.out_offsets[cols]
-            children = self._successors_of(cols)
-            contrib = 1 + np.where(mask[children], 0, w[children])
-            seg_starts = np.concatenate(
-                ([0], np.cumsum(out_counts)[:-1])
-            ).astype(np.intp)
-            new_w = np.add.reduceat(contrib, seg_starts)
-            changed = new_w != w[cols]
-            if not changed.any():
-                continue
-            ccols = cols[changed]
-            w[ccols] = new_w[changed]
-            affected[ccols] = True
-            dirty[self._predecessors_of(ccols)] = True

@@ -6,15 +6,11 @@ Thin adapter over the sweep implementations in
 topological order (flat lists, interned ids), with native big integers,
 so results are exact no matter how explosively path counts grow.
 
-Two sweep **tiers**, chosen at construction and bit-identical by
-contract (the differential fuzz harness holds them to it):
-
-* ``bitpack`` (default) — the aggregate formulation: one bit-packed
-  reachability sweep per graph (cached), then two sweeps per evaluation
-  (``T`` + ``W``) regardless of the source count.
-* ``lanes`` — the historical per-source formulation: one ``ψ`` sweep per
-  source per evaluation.  Kept as the differential reference and as the
-  bench baseline the ``bitpack_speedup`` comparator measures against.
+The aggregate queries use the bit-packed formulation: one reachability
+sweep per graph (cached on the compiled view), then two sweeps per
+evaluation (``T`` + ``W``) regardless of the source count.  Only
+``node_receipts`` with per-source ``items_per_source`` weights still
+sweeps one ``ψ`` lane per source, since the weights apply per item.
 
 This backend is the semantic reference: every other backend must agree
 with it bit-for-bit, and the fast backends delegate to it whenever their
@@ -27,7 +23,7 @@ from collections.abc import Collection, Iterable, Mapping
 from typing import TYPE_CHECKING, Hashable
 
 from repro.backends.sampled import SampledEvaluationMixin
-from repro.exceptions import MissingSourceError, ParameterError
+from repro.exceptions import MissingSourceError
 from repro.graphs.cgraph import CGraph
 from repro.graphs.validation import validate_filter_set
 
@@ -35,18 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.propagation.model import PropagationModel
 
 Node = Hashable
-
-#: The sweep tiers a backend can be pinned to.
-TIERS: tuple[str, ...] = ("bitpack", "lanes")
-
-
-def check_tier(tier: str) -> str:
-    """Validate a sweep-tier name (shared by both backends)."""
-    if tier not in TIERS:
-        known = ", ".join(TIERS)
-        raise ParameterError(f"unknown tier {tier!r}; known tiers: {known}")
-    return tier
-
 
 class PythonBackend(SampledEvaluationMixin):
     """Exact big-int propagation (the semantic reference).
@@ -57,9 +41,6 @@ class PythonBackend(SampledEvaluationMixin):
     """
 
     name = "python"
-
-    def __init__(self, *, tier: str = "bitpack") -> None:
-        self.tier = check_tier(tier)
 
     def node_receipts(
         self,
@@ -72,12 +53,10 @@ class PythonBackend(SampledEvaluationMixin):
         from repro.propagation.engine import node_receipts_exact
 
         validate_filter_set(graph, set(filters))
-        if self.tier == "bitpack" and not isinstance(
-            items_per_source, Mapping
-        ):
+        if not isinstance(items_per_source, Mapping):
             # Uniform weights scale the aggregate totals directly:
             # one T sweep instead of one ψ sweep per source.  Per-source
-            # mappings weight individual lanes and keep the lanes path.
+            # mappings weight individual items and sweep per source.
             from repro.propagation.engine import (
                 aggregate_receipts_ids,
                 loose_filter_mask,
@@ -134,13 +113,8 @@ class PythonBackend(SampledEvaluationMixin):
         filter_ids: Iterable[int] = (),
     ) -> list[int]:
         """``I(v | A)`` as a flat list over interned ids — index sweeps."""
-        from repro.core.impact import (
-            marginal_gains_ids_exact,
-            marginal_gains_ids_lanes_exact,
-        )
+        from repro.core.impact import marginal_gains_ids_exact
 
-        if self.tier == "lanes":
-            return marginal_gains_ids_lanes_exact(graph, filter_ids)
         return marginal_gains_ids_exact(graph, filter_ids)
 
     def simplified_impacts(
@@ -163,35 +137,9 @@ class PythonBackend(SampledEvaluationMixin):
         filter_ids: Iterable[int] = (),
     ) -> list[int]:
         """``I'(v)`` as a flat list over interned ids — index sweeps."""
-        from repro.core.greedy_l import (
-            simplified_impacts_ids_exact,
-            simplified_impacts_ids_lanes_exact,
-        )
+        from repro.core.greedy_l import simplified_impacts_ids_exact
 
-        if self.tier == "lanes":
-            return simplified_impacts_ids_lanes_exact(graph, filter_ids)
         return simplified_impacts_ids_exact(graph, filter_ids)
-
-    def gain_session(
-        self,
-        graph: CGraph,
-        filters: Collection[Node] = (),
-    ):
-        """Open an exact incremental :class:`GainSession`.
-
-        Construction runs one full sweep; each subsequent ``add_filter``
-        re-settles only the affected DAG region with big-int arithmetic.
-        The bitpack tier's session rides one aggregate wavefront, the
-        lanes tier's one wavefront per perturbed source lane.
-        """
-        from repro.backends.incremental import (
-            ExactGainSession,
-            ExactLaneGainSession,
-        )
-
-        if self.tier == "lanes":
-            return ExactLaneGainSession(graph, filters)
-        return ExactGainSession(graph, filters)
 
     # -- propagation-model axis -----------------------------------------
     # The per-trial reference implementations: one exact sweep per world
@@ -216,7 +164,7 @@ class PythonBackend(SampledEvaluationMixin):
         )
 
         return sampled_marginal_gains_ids_exact(
-            graph, filter_ids, model=model, tier=self.tier
+            graph, filter_ids, model=model
         )
 
     def sampled_simplified_impacts_ids(
@@ -234,7 +182,7 @@ class PythonBackend(SampledEvaluationMixin):
         )
 
         return sampled_simplified_impacts_ids_exact(
-            graph, filter_ids, model=model, tier=self.tier
+            graph, filter_ids, model=model
         )
 
     def sampled_total_receipts(
@@ -249,29 +197,26 @@ class PythonBackend(SampledEvaluationMixin):
             return self.total_receipts(graph, filters)
         from repro.propagation.sampling import sampled_total_receipts_exact
 
-        return sampled_total_receipts_exact(
-            graph, filters, model=model, tier=self.tier
-        )
+        return sampled_total_receipts_exact(graph, filters, model=model)
 
-    # expected_total_receipts / expected_marginal_gains /
-    # sampled_gain_session come from SampledEvaluationMixin — one shared
-    # reporting boundary over this backend's per-trial exact sweeps.
+    # expected_total_receipts / expected_marginal_gains come from
+    # SampledEvaluationMixin — one shared reporting boundary over this
+    # backend's per-trial exact sweeps.
 
     def warm(self, graph: CGraph) -> None:
-        """Build (and cache) the shared compiled view and, on the
-        bitpack tier, the reachability counts.
+        """Build (and cache) the shared compiled view and the
+        reachability counts.
 
-        Reachability is the bitpack tier's only per-graph preprocessing
-        beyond the :class:`~repro.graphs.compiled.CompiledGraph` every
-        other layer shares; warming it here keeps it out of the timed
-        solve regions (bench) and request paths (service).  Counts come
-        from the blocked out-of-core sweep
-        (:func:`repro.propagation.reach.warm_reach_counts`) — block-size
-        resident memory, bit-identical to the monolithic build — and
-        land in the compiled graph's shared cache.
+        Reachability is the only per-graph preprocessing beyond the
+        :class:`~repro.graphs.compiled.CompiledGraph` every other layer shares;
+        warming it here keeps it out of the timed solve regions (bench) and
+        request paths (service).  Counts come from the blocked out-of-core
+        sweep (:func:`repro.propagation.reach.warm_reach_counts`) — block-size
+        resident memory, bit-identical to the monolithic build — and land in
+        the compiled graph's shared cache.
         """
         compiled = graph.compiled()
-        if self.tier == "bitpack" and compiled.is_dag:
+        if compiled.is_dag:
             from repro.propagation.reach import warm_reach_counts
 
             warm_reach_counts(compiled)

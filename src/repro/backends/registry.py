@@ -70,13 +70,13 @@ def get_backend(name: str) -> PropagationBackend:
     return instance
 
 
-def build_backend(name: str, *, tier: str = "bitpack") -> PropagationBackend:
-    """A fresh backend instance pinned to a sweep tier.
+def build_backend(name: str) -> PropagationBackend:
+    """A fresh, private backend instance.
 
-    Unlike :func:`get_backend` this never touches the singleton table —
-    the registry's shared instances stay on the default tier, while
-    tier-pinned callers (the bench's ``/tier-lanes`` cells, the fuzz
-    harness's differential pairs) get their own instance.
+    Unlike :func:`get_backend` this never touches the singleton table, so
+    per-backend caches (the NumPy level plans) start empty — how the
+    bench's ``fresh_backend`` cells charge the one-time warm to
+    themselves.
     """
     if name == "auto":
         name = "numpy" if numpy_available() else "python"
@@ -86,9 +86,9 @@ def build_backend(name: str, *, tier: str = "bitpack") -> PropagationBackend:
                 "backend 'numpy' requested but numpy is not installed; "
                 "use backend 'python' (or 'auto')"
             )
-        return NumpyBackend(tier=tier)
+        return NumpyBackend()
     if name == "python":
-        return PythonBackend(tier=tier)
+        return PythonBackend()
     known = ", ".join(BACKEND_NAMES)
     raise ParameterError(f"unknown backend {name!r}; known backends: {known}")
 

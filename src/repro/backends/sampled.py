@@ -1,22 +1,10 @@
-"""The sample-average (SAA) gain session shared by every backend.
+"""The sample-average (SAA) reporting boundary shared by every backend.
 
-Under a probabilistic model the gains CELF ranks are the summed-over-
-worlds integers ``Σ_t I_t(v | A)`` (see :mod:`repro.propagation.sampling`
-for why they stay exact integers).  This session keeps those gains alive
-across placements the way the deterministic sessions do, but recomputes
-them with one batched ``sampled_marginal_gains_ids`` call per
-``add_filter`` instead of walking a regional wavefront — per-world dirty
-regions differ world to world, so a shared wavefront has no single
-frontier to ride.  The cost profile is therefore eager-like per
-placement, while CELF still gets what its correctness argument needs:
-exact gains under common random numbers, O(1) stale-top refreshes, and a
-changed-id report that provably covers every moved gain (it is computed
-by direct comparison).
-
-One class serves both backends: the wrapped backend supplies the batched
-evaluation (vectorized sampled sweeps on NumPy, per-world exact sweeps on
-pure Python), so results are bit-identical across backends by
-construction.
+Under a probabilistic model each backend sums its per-world integers
+``Σ_t I_t(v | A)`` (see :mod:`repro.propagation.sampling` for why they
+stay exact); the ``expected_*`` entry points here divide by ``trials``
+at the reporting boundary.  One mixin serves both backends, so the
+division cannot drift between them.
 """
 
 from __future__ import annotations
@@ -24,12 +12,10 @@ from __future__ import annotations
 from collections.abc import Collection
 from typing import TYPE_CHECKING, Hashable
 
-from repro.exceptions import MissingNodeError, ParameterError
 from repro.graphs.cgraph import CGraph
 from repro.graphs.validation import validate_filter_set
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.backends.base import PropagationBackend
     from repro.propagation.model import PropagationModel
 
 Node = Hashable
@@ -39,11 +25,11 @@ class SampledEvaluationMixin:
     """The backend-agnostic reporting boundary of the model axis.
 
     ``expected_*`` (mean at the boundary, node-keyed validating surface)
-    and the SAA session opener contain no engine-specific code — they
-    only divide by ``trials`` and dispatch back into the backend's own
-    ``sampled_*`` / deterministic primitives — so both backends inherit
-    the one copy here and the bit-identical-across-backends contract
-    cannot be broken by the two halves drifting apart.
+    contain no engine-specific code — they only divide by ``trials`` and
+    dispatch back into the backend's own ``sampled_*`` / deterministic
+    primitives — so both backends inherit the one copy here and the
+    bit-identical-across-backends contract cannot be broken by the two
+    halves drifting apart.
     """
 
     def expected_total_receipts(
@@ -81,110 +67,3 @@ class SampledEvaluationMixin:
         )
         trials = model.trials
         return dict(zip(compiled.nodes, (g / trials for g in summed)))
-
-    def sampled_gain_session(
-        self,
-        graph: CGraph,
-        filters: Collection[Node] = (),
-        *,
-        model: "PropagationModel | None" = None,
-    ):
-        """Open an SAA gain session (``None`` = the deterministic one)."""
-        if model is None:
-            return self.gain_session(graph, filters)
-        return SampledGainSession(self, graph, filters, model)
-
-
-class SampledGainSession:
-    """Incremental-interface SAA gains for one graph and a growing ``A``.
-
-    Satisfies the :class:`repro.backends.base.GainSession` protocol with
-    one semantic shift: :meth:`gains` holds ``Σ_t I_t(v | A)`` — the
-    summed sampled gains, exact integers — rather than the deterministic
-    ``I(v | A)``.  Ranking and tie-breaking behave identically, which is
-    all the optimizers consume.
-    """
-
-    def __init__(
-        self,
-        backend: "PropagationBackend",
-        graph: CGraph,
-        filters: Collection[Node],
-        model: "PropagationModel",
-    ) -> None:
-        filter_set = set(filters)
-        validate_filter_set(graph, filter_set)
-        compiled = graph.compiled()
-        self.backend_name = backend.name
-        self._backend = backend
-        self._graph = graph
-        self._model = model
-        self._compiled = compiled
-        self._filter_ids = set(compiled.to_ids(filter_set))
-        self._nodes_touched = 0
-        self._gains = list(
-            backend.sampled_marginal_gains_ids(
-                graph, self._filter_ids, model=model
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # GainSession interface
-    # ------------------------------------------------------------------
-
-    @property
-    def filters(self) -> frozenset[Node]:
-        nodes = self._compiled.nodes
-        return frozenset(nodes[i] for i in self._filter_ids)
-
-    @property
-    def nodes_touched(self) -> int:
-        return self._nodes_touched
-
-    def gains(self) -> dict[Node, int]:
-        """All current summed SAA gains, keyed in ``graph.nodes()`` order."""
-        return dict(zip(self._compiled.nodes, self._gains))
-
-    def gain(self, node: Node) -> int:
-        """Current summed SAA gain of one node — an O(1) state read."""
-        return self._gains[self._compiled.to_id(node)]
-
-    def add_filter(self, node: Node) -> frozenset[Node]:
-        """Place ``node``; recompute the batch; return changed nodes."""
-        nodes = self._compiled.nodes
-        return frozenset(
-            nodes[i] for i in self.add_filter_id(self._compiled.to_id(node))
-        )
-
-    def gains_ids(self) -> list[int]:
-        """All current summed SAA gains as a fresh id-indexed list."""
-        return list(self._gains)
-
-    def gain_id(self, node_id: int) -> int:
-        """Current summed SAA gain of one interned id — an O(1) read."""
-        return self._gains[node_id]
-
-    def add_filter_id(self, node_id: int) -> list[int]:
-        """Place an interned id; return every id whose gain changed.
-
-        The changed set is computed by direct old/new comparison, so it
-        is exact by construction — the property CELF's staleness
-        bookkeeping relies on.
-        """
-        compiled = self._compiled
-        if not 0 <= node_id < compiled.n:
-            raise MissingNodeError(node_id)
-        if node_id in self._filter_ids:
-            raise ParameterError(
-                f"node {compiled.nodes[node_id]!r} is already a filter"
-            )
-        self._filter_ids.add(node_id)
-        old = self._gains
-        new = list(
-            self._backend.sampled_marginal_gains_ids(
-                self._graph, self._filter_ids, model=self._model
-            )
-        )
-        self._gains = new
-        self._nodes_touched += compiled.n
-        return [v for v in range(compiled.n) if new[v] != old[v]]

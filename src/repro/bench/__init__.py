@@ -4,12 +4,10 @@ The subsystem that keeps the performance story honest across PRs:
 
 * :mod:`repro.bench.scenarios` — the scenario matrix
   (dataset × algorithm × k × backend) and the built-in suites
-  (``toy``, ``default``, ``ablation``, ``lazy``).
-* :mod:`repro.bench.instrument` — :class:`CountingBackend`, which tallies
-  how many propagation evaluations an algorithm requested, split into
-  full-graph sweeps and incremental session operations.
+  (``toy``, ``default``, ``ablation``, ``service``, ...).
 * :mod:`repro.bench.harness` — graph caching, wall-clock timing,
-  placement scoring.
+  placement scoring; evaluation counts come from
+  :class:`repro.obs.instrument.InstrumentedBackend`.
 * :mod:`repro.bench.results` — the versioned ``BENCH.json`` document
   (write + validate + load).
 * :mod:`repro.bench.compare` — the regression comparator between two
@@ -22,19 +20,9 @@ from repro.bench.compare import (
     ComparisonReport,
     compare_documents,
     format_comparison,
-    lazy_savings,
     summarize_speedups,
 )
 from repro.bench.harness import render_records, run_scenario, run_suite
-from repro.bench.instrument import (
-    EVALUATION_KINDS,
-    INCREMENTAL_KINDS,
-    SWEEP_KINDS,
-    CountingBackend,
-    CountingGainSession,
-    incremental_count,
-    sweep_count,
-)
 from repro.bench.results import (
     SCHEMA_VERSION,
     BenchRecord,
@@ -50,36 +38,26 @@ from repro.bench.scenarios import (
     ablation_suite,
     default_suite,
     get_suite,
-    lazy_suite,
     toy_suite,
 )
 
 __all__ = [
     "BenchScenario",
     "BenchRecord",
-    "CountingBackend",
-    "CountingGainSession",
     "ComparisonReport",
-    "EVALUATION_KINDS",
-    "INCREMENTAL_KINDS",
     "SCHEMA_VERSION",
     "SUITE_NAMES",
-    "SWEEP_KINDS",
     "ablation_suite",
     "build_document",
     "compare_documents",
     "default_suite",
     "format_comparison",
     "get_suite",
-    "incremental_count",
-    "lazy_savings",
-    "lazy_suite",
     "load_bench_json",
     "render_records",
     "run_scenario",
     "run_suite",
     "summarize_speedups",
-    "sweep_count",
     "toy_suite",
     "validate_document",
     "write_bench_json",

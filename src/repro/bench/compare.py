@@ -139,50 +139,6 @@ def format_comparison(report: ComparisonReport) -> str:
     return "\n".join(lines)
 
 
-def lazy_savings(
-    records_or_rows: Sequence[Any],
-    *,
-    eager: str = "G_All",
-    lazy: str = "G_All_lazy",
-) -> dict[str, float]:
-    """Per-cell sweep-count ratio eager / lazy (higher = laziness paying).
-
-    Matches cells that differ only in the algorithm axis and divides
-    their full-graph *propagation evaluation* counts
-    (:func:`repro.bench.instrument.sweep_count` — incremental session
-    operations are deliberately excluded; they are the cheap currency the
-    lazy strategy pays instead).  The acceptance bar for the ``lazy``
-    suite is a ratio ≥ 5 on every cell at ``k ≥ 10``.
-
-    Accepts :class:`~repro.bench.results.BenchRecord` objects or raw
-    ``results`` rows; returns ``{lazy-cell-key: ratio}``.
-    """
-    from repro.bench.instrument import sweep_count
-
-    rows = [
-        r.to_json_dict() if hasattr(r, "to_json_dict") else r
-        for r in records_or_rows
-    ]
-    sweeps = {
-        row["key"]: sweep_count(row.get("evaluations", {})) for row in rows
-    }
-    ratios: dict[str, float] = {}
-    for row in rows:
-        if row["algorithm"] != lazy:
-            continue
-        key = row["key"]
-        eager_key = key.replace(f"/{lazy}/", f"/{eager}/")
-        if eager_key not in sweeps or eager_key == key:
-            continue
-        lazy_sweeps = sweeps[key]
-        ratios[key] = (
-            float("inf")
-            if lazy_sweeps == 0
-            else sweeps[eager_key] / lazy_sweeps
-        )
-    return ratios
-
-
 def cache_speedup(
     records_or_rows: Sequence[Any],
 ) -> dict[str, float]:
@@ -260,44 +216,6 @@ def mc_speedup(
         if stem in base and seconds > 0:
             speedups[key] = base[stem] / seconds
     return speedups
-
-
-def bitpack_speedup(
-    records_or_rows: Sequence[Any],
-) -> dict[str, float]:
-    """Per-cell sweep-tier speedup: per-source lanes vs bit-packed sweeps.
-
-    Matches the ``…/tier-lanes`` cells produced by the ``bitpack`` suite
-    against their default-tier twins (identical key with the suffix
-    removed) and divides their wall-clock seconds:
-    ``lanes_seconds / bitpack_seconds`` — how many times faster the
-    aggregated bit-packed formulation evaluates the same many-source
-    cell than one exact sweep per source.  The acceptance bar is ≥ 10
-    on the largest deterministic cells of the committed ``BENCH.json``;
-    CI's bench-smoke asserts > 1 on the toy cell.
-
-    Accepts :class:`~repro.bench.results.BenchRecord` objects or raw
-    ``results`` rows; returns ``{bitpack-cell-key: ratio}``.
-    """
-    rows = [
-        r.to_json_dict() if hasattr(r, "to_json_dict") else r
-        for r in records_or_rows
-    ]
-    seconds = {row["key"]: float(row["seconds"]) for row in rows}
-    ratios: dict[str, float] = {}
-    for key, lanes_seconds in seconds.items():
-        if "/tier-lanes" not in key:
-            continue
-        fast_key = key.replace("/tier-lanes", "")
-        fast_seconds = seconds.get(fast_key)
-        if fast_seconds is None:
-            continue
-        ratios[fast_key] = (
-            float("inf")
-            if fast_seconds == 0
-            else lanes_seconds / fast_seconds
-        )
-    return ratios
 
 
 def sketch_speedup(

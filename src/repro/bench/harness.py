@@ -4,7 +4,7 @@ For every scenario the harness
 
 1. generates (and memoizes) the dataset graph,
 2. wraps the requested propagation backend in a
-   :class:`~repro.bench.instrument.CountingBackend` and installs it as the
+   :class:`~repro.obs.instrument.InstrumentedBackend` and installs it as the
    process default for the timed region — the algorithms resolve it through
    the registry, so no algorithm needs bench-specific code,
 3. times ``algorithm.place(graph, k)`` best-of-``repeats``
@@ -23,7 +23,6 @@ from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 from repro.backends.registry import get_backend, use_backend
-from repro.bench.instrument import CountingBackend
 from repro.bench.results import BenchRecord
 from repro.bench.scenarios import BenchScenario
 from repro.core.objective import max_objective, objective_value, phi
@@ -31,6 +30,7 @@ from repro.core.registry import get_algorithm
 from repro.datasets.registry import get_dataset
 from repro.exceptions import ParameterError
 from repro.graphs.cgraph import CGraph
+from repro.obs.instrument import InstrumentedBackend, sweep_count
 from repro.obs.trace import span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,14 +73,13 @@ def _scenario_backend(scenario: BenchScenario):
     ``fresh_backend`` cells get their own instance so the one-time warm
     cost lands in *their* ``plan_seconds`` — with the singleton, the
     first toucher of a graph (often the suite's Φ-constant computation)
-    silently pays for everyone.  Tier-pinned cells are always private:
-    retuning the singleton's tier would leak into other cells.
+    silently pays for everyone.
     """
-    if scenario.tier == "bitpack" and not scenario.fresh_backend:
+    if not scenario.fresh_backend:
         return get_backend(scenario.backend)
     from repro.backends.registry import build_backend
 
-    return build_backend(scenario.backend, tier=scenario.tier)
+    return build_backend(scenario.backend)
 
 
 def _scenario_model(scenario: BenchScenario):
@@ -263,7 +262,7 @@ def run_scenario(
         plan_seconds = plan_phase
         if compile_seconds is not None:
             plan_seconds += compile_seconds
-        counting = CountingBackend(backend)
+        counting = InstrumentedBackend(backend)
         algorithm = get_algorithm(scenario.algorithm, model=model)
 
         best = float("inf")
@@ -300,13 +299,14 @@ def run_scenario(
 
     # The sketch strategy bypasses the propagation backend for its
     # estimates, so the counting wrapper never sees its work; the
-    # per-step evaluation markers carry it instead.  Exact/lazy step
-    # markers mirror backend calls the counter already saw — merging
-    # those would double-count — so only the sketch-native kinds join.
+    # per-step evaluation markers carry it instead.  Other step markers
+    # (and the sketch rescore's exact sweeps) mirror backend calls the
+    # counter already saw — merging those would double-count — so only
+    # the sketch-native estimate kinds join.
     evaluations = dict(counting.counts)
     for step in result.steps:
         for kind, count in step.evaluations:
-            if kind.startswith("sketch_"):
+            if kind in ("sketch_build", "sketch_gains"):
                 evaluations[kind] = evaluations.get(kind, 0) + count
 
     return BenchRecord(
@@ -437,20 +437,16 @@ def run_suite(
 def render_records(records: Sequence[BenchRecord]) -> str:
     """The records as an aligned text table (CLI output).
 
-    ``sweeps`` counts full-graph propagation evaluations, ``inc`` the
-    incremental session operations (regional updates + O(1) refreshes) —
-    the split ``docs/benchmarks.md`` explains.  Lazy ``Greedy_All`` shows
-    one sweep and a handful of ``inc``; eager shows ``k`` sweeps.
-    ``plan ms`` is the one-time plan/compile cost the timed ``ms`` column
-    excludes (``compile`` cells time exactly that, so there the columns
+    ``sweeps`` counts full-graph propagation evaluations (``Greedy_All`` shows
+    ``k``).  ``plan ms`` is the one-time plan/compile cost the timed ``ms``
+    column excludes (``compile`` cells time exactly that, so there the columns
     coincide).
     """
     from repro.analysis.report import format_table
-    from repro.bench.instrument import incremental_count, sweep_count
 
     headers = [
         "dataset", "alg", "k", "backend", "model", "nodes", "edges",
-        "ms", "plan ms", "sweeps", "inc", "FR",
+        "ms", "plan ms", "sweeps", "FR",
     ]
     rows = []
     for r in records:
@@ -475,7 +471,6 @@ def render_records(records: Sequence[BenchRecord]) -> str:
             f"{r.seconds * 1e3:.1f}",
             f"{r.plan_seconds * 1e3:.1f}",
             str(sweep_count(r.evaluations)),
-            str(incremental_count(r.evaluations)),
             f"{r.filter_ratio:.4f}",
         ])
     return format_table(headers, rows)

@@ -9,23 +9,16 @@ Built-in suites
 ---------------
 ``toy``
     Seconds-long smoke matrix over the paper's figure graphs — what CI
-    runs to keep the perf plumbing honest.  Includes ``G_All_lazy`` so
-    the CI smoke can assert the lazy strategy's sweep count stays
-    strictly below the eager one.
+    runs to keep the perf plumbing honest.
 ``default``
     The trajectory matrix: the paper-scale datasets × the greedy family
-    (eager and lazy ``Greedy_All`` included) × both backends.
-    ``BENCH.json`` files written from this suite are comparable across
-    PRs.
+    × both backends, plus service, compile, probabilistic, many-source
+    and world-shard cells.  ``BENCH.json`` files written from this suite
+    are comparable across PRs.
 ``ablation``
-    Eager vs lazy ``Greedy_All`` across backends — the engine ablation:
-    the gap between the two is a direct read on how much of ``G_All``'s
-    cost the incremental gain engine eliminates per backend.
-``lazy``
-    The lazy-strategy axis at trajectory scale: eager vs CELF on the
-    default datasets at ``k ≥ 10``, where the acceptance bar is ≥5×
-    fewer full propagation sweeps for the lazy cells
-    (:func:`repro.bench.compare.lazy_savings`).
+    ``Greedy_All`` across backends — the engine ablation: the gap
+    between the python and numpy cells is a direct read on how much of
+    ``G_All``'s cost the vectorized sweeps remove.
 ``service``
     The serving axis: the same placement request through
     :mod:`repro.service` against a cold vs a warm placement cache, where
@@ -38,25 +31,17 @@ Built-in suites
     One plan feeds every backend, so these cells carry no backend axis
     beyond the placeholder ``python``.
 ``probabilistic``
-    The propagation-model axis: ``Greedy_All`` (eager and CELF) under
-    the live-edge model, scored by the seeded sample average over 64
-    worlds.  The python/numpy cell pairs feed
-    :func:`repro.bench.compare.mc_speedup`, whose acceptance bar is a
-    ≥10× batched-vs-per-trial ratio at n≈2000.
-``bitpack``
-    The sweep-tier axis: the same many-source ``G_All`` cell on the
-    ``bitpack`` (aggregated, source-count-independent) and ``lanes``
-    (one sweep per source) tiers of each backend, with the first
-    :data:`BITPACK_SOURCES` nodes re-designated as sources.  The
-    bitpack/lanes pairs feed :func:`repro.bench.compare.bitpack_speedup`
-    (acceptance bar: ≥10× on the largest deterministic cells).
+    The propagation-model axis: ``Greedy_All`` under the live-edge model,
+    scored by the seeded sample average over 64 worlds.  The python/numpy cell
+    pairs feed :func:`repro.bench.compare.mc_speedup`, whose acceptance bar is
+    a ≥10× batched-vs-per-trial ratio at n≈2000.
 ``parallel``
     The world-shard axis: the probabilistic n≈2000 cell with the
     evaluation pinned to 1 vs 4 process-pool workers.  Placements are
     bit-identical by contract (``tests/test_parallel_worlds.py``); the
     cells track what the wall-clock does.
 ``scale``
-    The million-node scale tier on ``scale-dag`` rungs: all three
+    The million-node scale tier on ``scale-dag`` rungs: both
     execution strategies where exact is cheap (n=3·10^3), the
     exact-vs-sketch comparison pair at n=3·10^4
     (:func:`repro.bench.compare.sketch_speedup` /
@@ -124,15 +109,10 @@ class BenchScenario:
     edge_prob: float = 1.0
     trials: int = 0
     #: Re-designate the first N nodes as sources (0 = the dataset's own
-    #: sources).  The bitpack cells use this: the real datasets carry a
-    #: single source, which is exactly the regime where the per-source
-    #: lanes tier is cheapest and the aggregated tier has nothing to win.
+    #: sources).  The many-source cells use this: the real datasets
+    #: carry a single source, which hides how the sweeps scale with the
+    #: source count.
     sources: int = 0
-    #: Deterministic sweep tier of the cell's backend (``bitpack`` |
-    #: ``lanes``).  ``bitpack`` is every backend's default; ``lanes``
-    #: cells pin the historical per-source formulation as the baseline
-    #: the ``bitpack_speedup`` comparator divides against.
-    tier: str = "bitpack"
     #: World-shard worker count for probabilistic cells (0 = inherit the
     #: ambient :func:`repro.propagation.parallel.active_workers` value;
     #: >0 pins the cell, 1 meaning explicitly serial).
@@ -166,8 +146,7 @@ class BenchScenario:
         ``compile`` cells use ``compile`` on the algorithm axis (with
         ``k=0``), so their keys need no extra suffix.  Non-default axes
         append suffixes — ``/srcN`` (re-designated sources),
-        ``/tier-lanes`` (pinned lanes tier), ``/model-pP-tT``
-        (probabilistic model), ``/wN`` (pinned world workers),
+        ``/model-pP-tT`` (probabilistic model), ``/wN`` (pinned world workers),
         ``/streamed`` (streamed graph construction), ``/est``
         (estimator-scored, no exact objective) — while default-valued
         axes add nothing, so prior ``BENCH.json`` baselines keep
@@ -180,8 +159,6 @@ class BenchScenario:
         )
         if self.sources:
             base += f"/src{self.sources}"
-        if self.tier != "bitpack":
-            base += f"/tier-{self.tier}"
         if self.model != "deterministic":
             base += f"/{self.model}-p{self.edge_prob:g}-t{self.trials}"
         if self.workers:
@@ -233,7 +210,7 @@ def toy_suite(
     backends = _resolve_backends(backends)
     return _cross(
         [("fig1", None), ("fig10", None)],
-        ("G_All", "G_All_lazy", "G_Max", "G_1", "G_L"),
+        ("G_All", "G_Max", "G_1", "G_L"),
         3,
         backends,
         seed,
@@ -257,8 +234,7 @@ def default_suite(
         ("citation", 1.0),
     ]
     scenarios = _cross(
-        cells, ("G_All", "G_All_lazy", "G_Max", "G_1", "G_L"), 10,
-        backends, seed
+        cells, ("G_All", "G_Max", "G_1", "G_L"), 10, backends, seed
     )
     scenarios.extend(
         _service_cells([("synthetic-sparse", 2.0)], backends, seed)
@@ -272,10 +248,10 @@ def default_suite(
     scenarios.extend(
         _probabilistic_cells([("quote", 2.2)], backends, seed)
     )
-    # Sweep-tier cells: bitpack vs lanes on the many-source matrix —
-    # the ≥10× :func:`repro.bench.compare.bitpack_speedup` gate cells.
+    # Many-source cells: the sweeps' cost must stay flat in the source
+    # count.
     scenarios.extend(
-        _bitpack_cells(
+        _many_source_cells(
             [("synthetic-sparse", 2.0), ("citation", 1.0)], backends, seed
         )
     )
@@ -362,40 +338,33 @@ def probabilistic_suite(
 ) -> list[BenchScenario]:
     """The propagation-model axis: SAA ``Greedy_All`` across backends.
 
-    Each cell runs ``G_All`` (eager and CELF-under-SAA) with the
-    live-edge model at ``p =`` :data:`PROBABILISTIC_EDGE_PROB` and
-    :data:`PROBABILISTIC_TRIALS` sampled worlds; the cell's record
-    carries ``model``/``trials`` so the comparator can match the
-    python/numpy pairs.  The acceptance bar —
-    :func:`repro.bench.compare.mc_speedup` ≥ 10 on the n≈2000 cell — is
-    the batched-sampler-vs-per-trial-loop headline the tentpole promises.
+    Each cell runs ``G_All`` with the live-edge model at ``p =``
+    :data:`PROBABILISTIC_EDGE_PROB` and :data:`PROBABILISTIC_TRIALS` sampled
+    worlds; the cell's record carries ``model``/``trials`` so the comparator
+    can match the python/numpy pairs.  The acceptance bar —
+    :func:`repro.bench.compare.mc_speedup` ≥ 10 on the n≈2000 cell — is the
+    batched-sampler-vs-per-trial-loop headline.
     """
     backends = _resolve_backends(backends)
     return _probabilistic_cells(
-        [("fig10", None), ("quote", 2.2)],
-        backends,
-        seed,
-        algorithms=("G_All", "G_All_lazy"),
+        [("fig10", None), ("quote", 2.2)], backends, seed
     )
 
 
-#: Sources re-designated by the ``bitpack`` suite cells.  The paper
-#: datasets carry one source each — the degenerate best case for the
-#: per-source lanes tier — so the tier cells widen the source axis to a
-#: multi-lane width (256 sources = 4 uint64 lanes) where the aggregated
+#: Sources re-designated by the many-source cells.  The paper datasets
+#: carry one source each, so these cells widen the source axis to a
+#: multi-word width (256 sources = 4 uint64 words) where the aggregated
 #: formulation's source-count independence actually shows.
-BITPACK_SOURCES = 256
+MANY_SOURCES = 256
 
 #: Worker counts the ``parallel`` suite pins its cells to.
 PARALLEL_WORKERS: tuple[int, ...] = (1, 4)
 
 
-def _bitpack_cells(
+def _many_source_cells(
     cells: Sequence[tuple[str, float | None]],
     backends: Sequence[str],
     seed: int,
-    *,
-    sources: int = BITPACK_SOURCES,
 ) -> list[BenchScenario]:
     return [
         BenchScenario(
@@ -405,12 +374,10 @@ def _bitpack_cells(
             backend=backend,
             scale=scale,
             seed=seed,
-            sources=sources,
-            tier=tier,
+            sources=MANY_SOURCES,
         )
         for dataset, scale in cells
         for backend in backends
-        for tier in ("bitpack", "lanes")
     ]
 
 
@@ -434,30 +401,6 @@ def _parallel_cells(
         for dataset, scale in cells
         for workers in PARALLEL_WORKERS
     ]
-
-
-def bitpack_suite(
-    *, backends: Sequence[str] | None = None, seed: int = 0
-) -> list[BenchScenario]:
-    """The sweep-tier axis: bitpack vs lanes on many-source cells.
-
-    Each (dataset, backend) pair appears twice — once on the default
-    ``bitpack`` tier and once pinned to ``lanes`` (key suffix
-    ``/tier-lanes``) — with :data:`BITPACK_SOURCES` nodes re-designated
-    as sources.  ``fig10`` is the toy cell CI's bench-smoke asserts on;
-    the paper-scale cells carry the ≥10×
-    :func:`repro.bench.compare.bitpack_speedup` acceptance bar.
-    """
-    backends = _resolve_backends(backends)
-    return _bitpack_cells(
-        [
-            ("fig10", None),
-            ("synthetic-sparse", 2.0),
-            ("citation", 1.0),
-        ],
-        backends,
-        seed,
-    )
 
 
 def parallel_suite(
@@ -508,7 +451,7 @@ def scale_suite(
     intended lane; the suite is about strategy scaling, not the backend
     cross).  Cells:
 
-    * ``@0.03`` — ``G_All``/``G_All_lazy``/``G_All_sketch``, exact-scored;
+    * ``@0.03`` — ``G_All``/``G_All_sketch``, exact-scored;
       the sketch cell still pays its exact prefix rescore here (n below
       the rescore guard), so its recorded gains are exact.
     * ``@0.3`` — ``G_All`` vs selection-only ``G_All_sketch``, both
@@ -543,7 +486,7 @@ def scale_suite(
             seed=seed,
             fresh_backend=algorithm != "G_All_sketch",
         )
-        for algorithm in ("G_All", "G_All_lazy", "G_All_sketch")
+        for algorithm in ("G_All", "G_All_sketch")
     ]
     scenarios.extend(
         BenchScenario(
@@ -714,53 +657,29 @@ def service_suite(
 def ablation_suite(
     *, backends: Sequence[str] | None = None, seed: int = 0
 ) -> list[BenchScenario]:
-    """Eager vs lazy ``Greedy_All`` across propagation backends.
+    """``Greedy_All`` across propagation backends — the engine ablation.
 
-    With the incremental gain engine behind
-    :class:`repro.core.celf.CelfGreedyAll`, the lazy variant replaces all
-    but one of the eager run's full sweeps with regional updates — the
-    wall-clock gap per backend measures how much of ``G_All``'s cost was
-    sweep work that laziness can skip.
+    The same placements on every backend, so the wall-clock gap per
+    cell measures how much of ``G_All``'s cost the vectorized sweeps
+    remove.
     """
     backends = _resolve_backends(backends)
     return _cross(
         [("fig10", None), ("synthetic-sparse", 1.0)],
-        ("G_All", "G_All_lazy"),
+        ("G_All",),
         8,
         backends,
         seed,
     )
 
 
-def lazy_suite(
-    *, backends: Sequence[str] | None = None, seed: int = 0
-) -> list[BenchScenario]:
-    """The lazy-strategy axis: eager vs CELF at trajectory scale.
-
-    Same datasets as the ``default`` suite, restricted to the two
-    ``Greedy_All`` executions at ``k = 10`` — the matrix behind the
-    "≥5× fewer propagation evaluations at k ≥ 10" acceptance bar, which
-    :func:`repro.bench.compare.lazy_savings` checks on the records.
-    """
-    backends = _resolve_backends(backends)
-    cells: list[tuple[str, float | None]] = [
-        ("synthetic-sparse", 2.0),
-        ("synthetic-dense", 1.0),
-        ("quote", 1.0),
-        ("citation", 1.0),
-    ]
-    return _cross(cells, ("G_All", "G_All_lazy"), 10, backends, seed)
-
-
 _SUITES = {
     "toy": toy_suite,
     "default": default_suite,
     "ablation": ablation_suite,
-    "lazy": lazy_suite,
     "service": service_suite,
     "compile": compile_suite,
     "probabilistic": probabilistic_suite,
-    "bitpack": bitpack_suite,
     "parallel": parallel_suite,
     "scale": scale_suite,
     "warm": warm_suite,

@@ -31,12 +31,10 @@ identical results.
 
 ``--strategy {exact,lazy,sketch}`` (on ``place`` and ``experiment``)
 selects the execution strategy: ``exact`` runs the direct
-implementations, ``lazy`` runs lazy-capable algorithms (the
-``Greedy_All`` family) as CELF on the incremental gain engine —
-identical selections and objective values, one full propagation sweep
-instead of one per placement — and ``sketch`` runs sketch-capable
-algorithms on bottom-k reachability estimates (:mod:`repro.sketches`),
-the million-node scale tier.  ``--sketch-k`` / ``--epsilon`` /
+implementations, ``lazy`` is a deprecated alias of ``exact`` (identical
+results), and ``sketch`` runs sketch-capable algorithms on bottom-k
+reachability estimates (:mod:`repro.sketches`), the million-node scale
+tier.  ``--sketch-k`` / ``--epsilon`` /
 ``--sketch-seed`` (on ``place``) tune the estimator; ``--streamed``
 builds ``--dataset scale-dag`` through the streaming compiler
 (:mod:`repro.graphs.largescale`) instead of materializing a python
@@ -64,7 +62,7 @@ Examples
     filter-placement place --dataset quote --algorithm G_All -k 4
     filter-placement place --edges my_graph.txt --algorithm G_Max -k 10
     filter-placement place --dataset citation -k 10 --backend numpy
-    filter-placement place --dataset citation -k 10 --strategy lazy --json
+    filter-placement place --dataset citation -k 10 --json
     filter-placement place --dataset scale-dag --scale 1.0 --streamed \
         -k 10 --strategy sketch --sketch-k 64
     filter-placement place --dataset quote -k 8 --model live-edge \
@@ -153,8 +151,7 @@ def _add_strategy_argument(parser: argparse.ArgumentParser) -> None:
         choices=STRATEGY_NAMES,
         default="exact",
         help="execution strategy: exact = direct implementations, "
-        "lazy = CELF with incremental impact updates (same results, "
-        "fewer propagation sweeps), sketch = CELF on bottom-k "
+        "lazy = deprecated alias of exact, sketch = CELF on bottom-k "
         "reachability estimates (the scale tier; default: exact)",
     )
 

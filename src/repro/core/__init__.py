@@ -30,8 +30,7 @@ from repro.core.impact import (
     marginal_gains,
 )
 from repro.core.plist import PlistTables, compute_plists, plist_impacts
-from repro.core.celf import CelfGreedyAll, lazy_greedy_all
-from repro.core.greedy_all import GreedyAll, LazyGreedyAll, greedy_all
+from repro.core.greedy_all import GreedyAll, greedy_all
 from repro.core.greedy_max import GreedyMax, greedy_max
 from repro.core.greedy_one import GreedyOne, greedy_one
 from repro.core.greedy_l import GreedyL, greedy_l
@@ -45,7 +44,6 @@ from repro.core.exhaustive import ExhaustiveSearch, optimal_placement
 from repro.core.betweenness import BetweennessPlacement
 from repro.core.registry import (
     ALGORITHM_NAMES,
-    LAZY_CAPABLE_NAMES,
     PAPER_ALGORITHM_NAMES,
     STRATEGY_NAMES,
     get_algorithm,
@@ -70,10 +68,7 @@ __all__ = [
     "compute_plists",
     "plist_impacts",
     "GreedyAll",
-    "LazyGreedyAll",
-    "CelfGreedyAll",
     "greedy_all",
-    "lazy_greedy_all",
     "GreedyMax",
     "greedy_max",
     "GreedyOne",
@@ -93,7 +88,6 @@ __all__ = [
     "set_default_strategy",
     "use_strategy",
     "ALGORITHM_NAMES",
-    "LAZY_CAPABLE_NAMES",
     "PAPER_ALGORITHM_NAMES",
     "STRATEGY_NAMES",
 ]

@@ -30,13 +30,12 @@ class PlacementStep:
         the true marginal gain ``F(A ∪ {v}) − F(A)``; for the heuristics it
         is their surrogate score (``m(v)``, initial impact, ``I'(v)``).
     evaluations:
-        Propagation work the algorithm performed to make this pick, as
-        sorted ``(kind, count)`` pairs whose kinds match
-        :data:`repro.bench.instrument.EVALUATION_KINDS` (e.g. one
-        ``marginal_gains`` sweep per eager ``Greedy_All`` step; a
-        ``session_update`` plus some ``session_refresh`` reads per lazy
-        step).  Empty for algorithms that score without propagation.
-        Deterministic, so results stay comparable across backends.
+        Propagation work the algorithm performed to make this pick, as sorted
+        ``(kind, count)`` pairs whose kinds match
+        :data:`repro.obs.instrument.EVALUATION_KINDS` (e.g. one
+        ``marginal_gains`` sweep per ``Greedy_All`` step).  Empty for
+        algorithms that score without propagation. Deterministic, so results
+        stay comparable across backends.
     """
 
     node: Node

@@ -7,18 +7,10 @@ classic bound applies: the result is within a factor ``(1 − 1/e)`` of the
 optimal budget-``k`` placement (Theorem 3), and it is *exactly* optimal for
 ``k = 1``.
 
-Two implementations with identical outputs:
-
-* :class:`GreedyAll` — the direct algorithm, one linear impact sweep per
-  iteration (using the fast engine of :mod:`repro.core.impact`).
-* :class:`repro.core.celf.CelfGreedyAll` (re-exported here as
-  ``LazyGreedyAll``) — the lazy-greedy/CELF strategy on the backends'
-  incremental gain engine: one full sweep total, then regional updates
-  after each placement and O(1) refreshes of stale heap tops.  Select it
-  with ``--strategy lazy`` on the CLI or
-  ``get_algorithm("G_All", strategy="lazy")``.
-
-Both classes evaluate gains through the pluggable backend registry
+:class:`GreedyAll` is the direct algorithm: each iteration gets every
+marginal gain from one bit-packed two-sweep evaluation (the fast engine
+of :mod:`repro.core.impact`), so lazy re-evaluation has nothing left to
+save.  Gains come through the pluggable backend registry
 (:mod:`repro.backends.registry`); pass ``backend=`` to pin one, or leave
 it None to use the process default (the CLI's ``--backend`` flag).
 """
@@ -29,7 +21,6 @@ import random
 from typing import TYPE_CHECKING, Hashable
 
 from repro.core.base import PlacementResult, PlacementStep, check_budget
-from repro.core.celf import CelfGreedyAll
 from repro.core.impact import marginal_gains_ids
 from repro.graphs.cgraph import CGraph
 
@@ -38,11 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.propagation.model import PropagationModel
 
 Node = Hashable
-
-#: Backwards-compatible alias: the lazy variant now lives in
-#: :mod:`repro.core.celf` and runs on the incremental gain engine.
-LazyGreedyAll = CelfGreedyAll
-
 
 class GreedyAll:
     """The paper's ``Greedy_All`` (Algorithm 1).

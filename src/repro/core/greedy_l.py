@@ -24,7 +24,7 @@ from collections.abc import Iterable
 
 from repro.core.base import PlacementResult, PlacementStep, check_budget
 from repro.graphs.cgraph import CGraph
-from repro.propagation.engine import item_receipts_ids, loose_filter_mask
+from repro.propagation.engine import loose_filter_mask
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backends.base import PropagationBackend
@@ -63,28 +63,16 @@ def simplified_impacts_ids(
 
 
 def _scores_for_mask(compiled, mask: bytearray) -> list[int]:
-    """``I'`` over ids via one aggregate ``T`` sweep (the bitpack tier).
+    """``I'`` over ids via one aggregate ``T`` sweep.
 
     ``I'(v) = Prefix(v) × dout(v)`` sums one item per source, so the
     per-source prefixes collapse to the aggregate totals ``T(v)`` from
     :func:`~repro.propagation.engine.aggregate_receipts_ids` —
-    source-count-independent, bit-identical to the lanes sweep.
+    source-count-independent, bit-identical to summing per-source ψ.
     """
     from repro.propagation.engine import aggregate_receipts_ids
 
     totals = aggregate_receipts_ids(compiled, mask)
-    out_degree = compiled.out_degree
-    return [totals[v] * out_degree[v] for v in range(compiled.n)]
-
-
-def _scores_for_mask_lanes(compiled, mask: bytearray) -> list[int]:
-    """``I'`` over ids via one ``ψ`` sweep per source (the lanes tier)."""
-    totals = [0] * compiled.n
-    for origin_id in compiled.source_ids:
-        psi = item_receipts_ids(compiled, origin_id, mask)
-        for v, count in enumerate(psi):
-            if count:
-                totals[v] += count
     out_degree = compiled.out_degree
     return [totals[v] * out_degree[v] for v in range(compiled.n)]
 
@@ -94,19 +82,9 @@ def simplified_impacts_ids_exact(
     filter_ids: Iterable[int] = (),
 ) -> list[int]:
     """:func:`simplified_impacts_ids` via the exact aggregate sweep (the
-    ``python`` backend's default *bitpack* tier)."""
+    ``python`` backend's implementation)."""
     compiled = graph.compiled()
     return _scores_for_mask(compiled, compiled.filter_mask(filter_ids))
-
-
-def simplified_impacts_ids_lanes_exact(
-    graph: CGraph,
-    filter_ids: Iterable[int] = (),
-) -> list[int]:
-    """:func:`simplified_impacts_ids` via one exact big-int ``ψ`` sweep
-    per source (the *lanes* tier; the fuzz harness's reference)."""
-    compiled = graph.compiled()
-    return _scores_for_mask_lanes(compiled, compiled.filter_mask(filter_ids))
 
 
 def simplified_impacts_exact(

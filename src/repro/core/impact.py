@@ -50,11 +50,7 @@ from typing import TYPE_CHECKING, Hashable
 from repro.exceptions import MissingSourceError
 from repro.graphs.cgraph import CGraph
 from repro.graphs.validation import validate_filter_set
-from repro.propagation.engine import (
-    item_receipts,
-    item_receipts_ids,
-    loose_filter_mask,
-)
+from repro.propagation.engine import item_receipts, loose_filter_mask
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backends.base import PropagationBackend
@@ -166,7 +162,7 @@ def marginal_gains_ids_exact(
     filter_ids: Iterable[int] = (),
 ) -> list[int]:
     """:func:`marginal_gains_ids` via the exact bit-packed aggregate
-    sweeps (the ``python`` backend's default *bitpack* tier).
+    sweeps (the ``python`` backend's implementation).
 
     The per-source decomposition ``I(v | A) = Σ_s max(ψ_s(v) − 1, 0) ·
     W(v)`` collapses: the max only trims sources that never reach ``v``,
@@ -176,9 +172,9 @@ def marginal_gains_ids_exact(
     (:func:`~repro.graphs.compiled.packed_reach_counts`).
 
     Cost: one ``W`` pass plus one ``T`` pass — independent of the source
-    count, versus the lanes tier's ``S + 1`` sweeps.  Results are
-    bit-identical to :func:`marginal_gains_ids_lanes_exact` (the fuzz
-    harness holds the two to that).
+    count, where the per-source decomposition needs ``S + 1`` sweeps.
+    The fuzz harness holds the results bit-identical to the dict-path
+    oracle's per-source sums.
     """
     from repro.propagation.engine import aggregate_receipts_ids
 
@@ -198,32 +194,6 @@ def marginal_gains_ids_exact(
             wv = w[v]
             if wv:
                 gains[v] = excess * wv
-    return gains
-
-
-def marginal_gains_ids_lanes_exact(
-    graph: CGraph,
-    filter_ids: Iterable[int] = (),
-) -> list[int]:
-    """:func:`marginal_gains_ids` via one exact big-int ``ψ`` sweep per
-    source (the ``python`` backend's *lanes* tier, and the differential
-    reference the bitpack tier is fuzzed against).
-
-    Cost: one ``W`` pass plus one ``ψ`` pass per source.
-    """
-    if not graph.sources:
-        raise MissingSourceError("graph has no sources")
-    compiled = graph.compiled()
-    mask = compiled.filter_mask(filter_ids)
-    w = absorbing_suffix_ids(compiled, mask)
-    gains = [0] * compiled.n
-    for origin_id in compiled.source_ids:
-        psi = item_receipts_ids(compiled, origin_id, mask)
-        for v, count in enumerate(psi):
-            if count > 1 and not mask[v]:
-                wv = w[v]
-                if wv:
-                    gains[v] += (count - 1) * wv
     return gains
 
 

@@ -8,12 +8,12 @@ Orthogonal to the *name* is the **strategy** — how the selections are
 computed, never *what* they are:
 
 * ``exact`` (default) — the direct implementations; eager ``Greedy_All``
-  runs one full impact sweep per placement.
-* ``lazy`` — the CELF implementations on the incremental gain engine
-  (:mod:`repro.core.celf`): one full sweep total, regional updates after
-  each placement.  Results are bit-identical to ``exact`` (enforced by
-  the equivalence tests), so a strategy switch can never change a figure,
-  a filter set, or a ``BENCH.json`` drift check — only the cost profile.
+  gets every marginal gain from one bit-packed two-sweep evaluation per
+  placement.
+* ``lazy`` — kept as a name only: it resolves to ``exact``.  The former
+  CELF optimizer saved gain evaluations, which the two-sweep evaluation
+  made too cheap to be worth saving; scripts and service cache keys that
+  still say ``lazy`` keep working with identical results.
 * ``sketch`` — selection on bottom-k reachability estimates
   (:mod:`repro.sketches`): float sweeps whose cost is independent of the
   source count, with the winning prefix exactly rescored.  On graphs
@@ -22,9 +22,8 @@ computed, never *what* they are:
   beyond that the strategy trades a bounded ``(1 ± ε)`` estimator error
   for the million-node scale tier.
 
-Algorithms without a lazy path (the heuristics, the randomized baselines,
-the exact searches) ignore the strategy: there is nothing to lazify in a
-single-sweep or sweep-free method.  Scope a strategy with
+Algorithms without a sketch path (the heuristics, the randomized
+baselines, the exact searches) ignore the strategy.  Scope a strategy with
 :func:`use_strategy` (the CLI's ``--strategy`` flag does this) or pass it
 per lookup via ``get_algorithm(name, strategy=...)``.
 
@@ -50,9 +49,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backends.base import PropagationBackend
     from repro.propagation.model import PropagationModel
 from repro.core.betweenness import BetweennessPlacement
-from repro.core.celf import CelfGreedyAll
 from repro.core.exhaustive import ExhaustiveSearch
-from repro.core.greedy_all import GreedyAll, LazyGreedyAll
+from repro.core.greedy_all import GreedyAll
 from repro.core.greedy_l import GreedyL
 from repro.core.greedy_max import GreedyMax
 from repro.core.greedy_one import GreedyOne
@@ -65,12 +63,20 @@ from repro.core.tree_dp import TreeDynamicProgram
 from repro.exceptions import ParameterError
 from repro.sketches.celf import SketchCelfGreedyAll
 
+
+def _renamed(algorithm: PlacementAlgorithm, name: str) -> PlacementAlgorithm:
+    algorithm.name = name
+    return algorithm
+
+
 _FACTORIES: dict[str, Callable[[], PlacementAlgorithm]] = {
     "G_All": GreedyAll,
     # Algorithm 1 exactly as printed: all k iterations, no early stop —
     # the cost profile Figure 11 measures.
     "G_All_paper": lambda: GreedyAll(early_stop=False),
-    "G_All_lazy": LazyGreedyAll,
+    # A former CELF variant, kept as a name for one more release: the
+    # eager loop returns the identical placement.
+    "G_All_lazy": lambda: _renamed(GreedyAll(), "G_All_lazy"),
     "G_All_sketch": SketchCelfGreedyAll,
     "G_Max": GreedyMax,
     "G_1": GreedyOne,
@@ -81,17 +87,6 @@ _FACTORIES: dict[str, Callable[[], PlacementAlgorithm]] = {
     "Tree_DP": TreeDynamicProgram,
     "Optimal": ExhaustiveSearch,
     "Betweenness": BetweennessPlacement,
-}
-
-#: Lazy-capable names: under ``strategy="lazy"`` these resolve to CELF
-#: variants that keep the original reported name (results are identical,
-#: so labels, curves and bench keys must not fork).
-_LAZY_FACTORIES: dict[str, Callable[[], PlacementAlgorithm]] = {
-    "G_All": lambda: CelfGreedyAll(name="G_All"),
-    "G_All_paper": lambda: CelfGreedyAll(
-        early_stop=False, name="G_All_paper"
-    ),
-    "G_All_lazy": CelfGreedyAll,
 }
 
 #: Sketch-capable names: under ``strategy="sketch"`` these resolve to the
@@ -122,9 +117,6 @@ MODEL_AWARE_NAMES: tuple[str, ...] = (
     "G_Max",
     "G_L",
 )
-
-#: Algorithm names that actually change execution under ``lazy``.
-LAZY_CAPABLE_NAMES: tuple[str, ...] = tuple(_LAZY_FACTORIES)
 
 #: Algorithm names that actually change execution under ``sketch``.
 SKETCH_CAPABLE_NAMES: tuple[str, ...] = tuple(_SKETCH_FACTORIES)
@@ -208,15 +200,14 @@ def get_algorithm(
 ) -> PlacementAlgorithm:
     """Instantiate the algorithm registered under ``name``.
 
-    ``strategy`` selects the execution strategy (``"exact"``, ``"lazy"``
-    or ``"sketch"``; None uses the scoped/process default).  Lazy
-    execution returns the CELF implementation for capable names and the
-    exact one otherwise — selections are identical either way.  Sketch
-    execution returns the bottom-k estimate-driven implementation for
-    capable names (:data:`SKETCH_CAPABLE_NAMES`); ``sketch_k`` /
-    ``epsilon`` / ``sketch_seed`` tune it (``epsilon`` wins over
-    ``sketch_k`` via :func:`repro.sketches.bottomk.k_for_epsilon`) and
-    are ignored by algorithms without sketch attributes.
+    ``strategy`` selects the execution strategy (``"exact"``, ``"lazy"`` or
+    ``"sketch"``; None uses the scoped/process default).  ``"lazy"`` is an
+    alias of ``"exact"``.  Sketch execution returns the bottom-k
+    estimate-driven implementation for capable names
+    (:data:`SKETCH_CAPABLE_NAMES`); ``sketch_k`` / ``epsilon`` /
+    ``sketch_seed`` tune it (``epsilon`` wins over ``sketch_k`` via
+    :func:`repro.sketches.bottomk.k_for_epsilon`) and are ignored by algorithms
+    without sketch attributes.
 
     ``backend`` pins the propagation backend on the returned instance for
     algorithms that evaluate gains through one (the greedy family) —
@@ -245,9 +236,7 @@ def get_algorithm(
             f"unknown algorithm {name!r}; known algorithms: {known}"
         )
     factory = _FACTORIES[name]
-    if strategy == "lazy":
-        factory = _LAZY_FACTORIES.get(name, factory)
-    elif strategy == "sketch":
+    if strategy == "sketch":
         factory = _SKETCH_FACTORIES.get(name, factory)
     algorithm = factory()
     if backend is not None and hasattr(algorithm, "backend"):
@@ -287,7 +276,6 @@ def algorithm_catalog() -> list[dict[str, object]]:
     return [
         {
             "name": name,
-            "lazy_capable": name in _LAZY_FACTORIES,
             "sketch_capable": name in _SKETCH_FACTORIES,
             "deterministic": is_deterministic(name),
             "model_aware": name in MODEL_AWARE_NAMES,

@@ -6,7 +6,7 @@ reproduced claim is the *ordering* — ``G_1`` is far cheaper than the
 impact-based methods, and ``G_All``'s per-iteration recomputation makes it
 the most expensive — not the absolute seconds: this library's two-pass
 impact engine is asymptotically faster than the paper's plist bookkeeping
-(run ``filter-placement bench --suite ablation`` for the engine
+(run ``filter-placement bench --suite ablation`` for the backend
 comparison).
 """
 

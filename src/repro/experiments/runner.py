@@ -51,9 +51,8 @@ def run_experiments(
     ``backend`` scopes the propagation backend for the whole run (a name
     from :data:`repro.backends.BACKEND_NAMES`; None keeps the default).
     ``strategy`` scopes the execution strategy the same way (a name from
-    :data:`repro.core.registry.STRATEGY_NAMES`): under ``"lazy"`` every
-    ``Greedy_All`` evaluation inside the figures runs as CELF on the
-    incremental gain engine — identical curves, fewer sweeps.
+    :data:`repro.core.registry.STRATEGY_NAMES`): under ``"sketch"`` the
+    ``Greedy_All`` family selects on bottom-k reachability estimates.
     ``model`` scopes a probabilistic relaying model
     (:class:`repro.propagation.model.PropagationModel`; None keeps
     deterministic relaying): every model-aware gain evaluation inside
@@ -137,8 +136,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--strategy",
         choices=STRATEGY_NAMES,
         default=None,
-        help="execution strategy for lazy-capable algorithms "
-        "(default: exact)",
+        help="execution strategy for sketch-capable algorithms "
+        "(lazy = deprecated alias of exact; default: exact)",
     )
     from repro.propagation.model import DEFAULT_TRIALS, MODEL_NAMES
 

@@ -1,11 +1,10 @@
 """The compile-once graph core: interned node ids + shared CSR plans.
 
 Every quantity the placement layers compute — ``Φ`` evaluations, marginal
-gains, plists, incremental sessions — is a topological sweep over the same
-c-graph, yet historically each layer re-derived its own view of it: the
-exact engine walked dict-of-tuples adjacency, the NumPy backend built a
-private CSR plan, the incremental sessions built their own topo index
-maps, and the service warmed one plan per backend.  :class:`CompiledGraph`
+gains, plists — is a topological sweep over the same c-graph, yet
+historically each layer re-derived its own view of it: the exact engine
+walked dict-of-tuples adjacency, the NumPy backend built a private CSR
+plan, and the service warmed one plan per backend.  :class:`CompiledGraph`
 replaces all of that with **one** frozen, integer-interned view, built in
 a single pass and cached on the immutable :class:`~repro.graphs.cgraph.CGraph`
 (:meth:`~repro.graphs.cgraph.CGraph.compiled`).
@@ -105,8 +104,7 @@ class CompiledGraph:
 
     Instances are built once per graph by :meth:`CGraph.compiled` and
     shared by every consumer — the propagation engines, both backends,
-    the incremental gain sessions, the placement algorithms and the
-    service's resident-graph store.  All attributes are set at
+    the placement algorithms and the service's resident-graph store.  All attributes are set at
     construction and must never be mutated; the arrays are plain lists
     only because CPython indexes them fastest.
     """

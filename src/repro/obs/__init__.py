@@ -18,11 +18,7 @@ Everything is near-zero-cost while tracing is disabled (the default):
 
 from repro.obs.instrument import (
     EVALUATION_KINDS,
-    INCREMENTAL_KINDS,
-    SWEEP_KINDS,
     InstrumentedBackend,
-    InstrumentedGainSession,
-    incremental_count,
     sweep_count,
 )
 from repro.obs.metrics import (
@@ -47,11 +43,7 @@ from repro.obs.trace import (
 
 __all__ = [
     "EVALUATION_KINDS",
-    "INCREMENTAL_KINDS",
-    "SWEEP_KINDS",
     "InstrumentedBackend",
-    "InstrumentedGainSession",
-    "incremental_count",
     "sweep_count",
     "DEFAULT_BUCKETS",
     "REGISTRY",

@@ -1,40 +1,26 @@
 """Backend instrumentation: evaluation counters, spans, and metrics.
 
 Wall-clock alone can't tell *why* an algorithm got faster — fewer sweeps
-(lazy evaluation working) and cheaper sweeps (a faster backend) look the
-same on a stopwatch.  :class:`InstrumentedBackend` wraps any propagation
-backend, forwards every call unchanged, and tallies how many of each
-evaluation the algorithm requested.  The bench harness installs it as the
-default backend for the timed region and reports the counters next to the
+and cheaper sweeps (a faster backend) look the same on a stopwatch.
+:class:`InstrumentedBackend` wraps any propagation backend, forwards
+every call unchanged, and tallies how many of each evaluation the
+algorithm requested.  The bench harness installs it as the default
+backend for the timed region and reports the counters next to the
 seconds; the service wraps every placement's backend in one so
 ``GET /metrics`` can attribute work per backend and evaluation kind.
 
-Two cost classes are counted, and the distinction is what the lazy-greedy
-numbers hinge on:
-
-* **Full-graph sweeps** (:data:`SWEEP_KINDS`) — every one-shot query
-  (``node_receipts``, ``total_receipts``, ``marginal_gains``,
-  ``simplified_impacts``) plus ``session_init``, the full ψ/W pass a
-  :class:`~repro.backends.base.GainSession` runs at construction.  Each
-  touches the whole graph once per source.  :func:`sweep_count` sums
-  these; "propagation evaluations" in the acceptance criteria and in
-  ``docs/benchmarks.md`` means exactly this sum.
-* **Incremental session operations** (:data:`INCREMENTAL_KINDS`) —
-  ``session_update`` (one regional re-settle per placed filter) and
-  ``session_refresh`` (one O(1) stale-gain read per lazy re-evaluation).
-  Strictly cheaper than a sweep; :func:`incremental_count` sums them and
-  the bench table reports them in their own column so the two cost
-  classes are never conflated.
+Every counted kind (:data:`EVALUATION_KINDS`) is one **full-graph
+sweep** — ``node_receipts``, ``total_receipts``, ``marginal_gains``,
+``simplified_impacts`` and the sketch strategy's own passes.
+:func:`sweep_count` sums them; "propagation evaluations" in
+``docs/benchmarks.md`` means exactly this sum.
 
 Cost discipline (``BENCH.json`` timings run through this wrapper):
 
-* The per-call path does exactly what the old bench ``CountingBackend``
-  did — one unlocked dict increment — plus a single
+* The per-call path is one unlocked dict increment plus a single
   ``TRACER.enabled`` attribute read.  No locks, no metric objects.
 * Spans and per-sweep latency histograms are recorded only while the
-  tracer is enabled, and only for sweep-class calls (a CELF run issues
-  thousands of ``session_refresh`` reads; tracing each would cost more
-  than the read).
+  tracer is enabled.
 * Global metrics are **published in bulk**: :meth:`publish` flushes the
   local counter dict into :data:`~repro.obs.metrics.REGISTRY` as
   ``fp_backend_evaluations_total{kind,backend}`` increments.  Callers
@@ -55,40 +41,27 @@ from repro.obs.trace import TRACER
 
 Node = Hashable
 
-#: Full-graph sweep counters: one increment = one whole-graph pass.
-#: The ``sketch_*`` kinds are charged by the sketch strategy itself
-#: (it bypasses the backend protocol): ``sketch_build`` is the one
-#: bottom-k merge pass, ``sketch_gains`` one estimated two-sweep gain
-#: evaluation, ``sketch_rescore`` one exact prefix-rescore session.
-SWEEP_KINDS: tuple[str, ...] = (
+#: Counter keys: one increment = one whole-graph pass.  The
+#: ``sketch_*`` kinds are charged by the sketch strategy itself in its
+#: step records: ``sketch_build`` is the one bottom-k merge pass and
+#: ``sketch_gains`` one estimated two-sweep gain evaluation (both bypass
+#: the backend protocol); ``sketch_rescore`` marks one exact gain sweep
+#: of the prefix rescore, which a wrapped backend also counts as
+#: ``marginal_gains``.
+EVALUATION_KINDS: tuple[str, ...] = (
     "node_receipts",
     "total_receipts",
     "marginal_gains",
     "simplified_impacts",
-    "session_init",
     "sketch_build",
     "sketch_gains",
     "sketch_rescore",
 )
 
-#: Incremental session counters: regional updates and O(1) gain reads.
-INCREMENTAL_KINDS: tuple[str, ...] = (
-    "session_update",
-    "session_refresh",
-)
-
-#: Counter keys, one per protocol method / session operation.
-EVALUATION_KINDS: tuple[str, ...] = SWEEP_KINDS + INCREMENTAL_KINDS
-
 
 def sweep_count(counts: Mapping[str, int]) -> int:
     """Full-graph propagation sweeps in an evaluation-counter mapping."""
-    return sum(counts.get(kind, 0) for kind in SWEEP_KINDS)
-
-
-def incremental_count(counts: Mapping[str, int]) -> int:
-    """Incremental session operations in an evaluation-counter mapping."""
-    return sum(counts.get(kind, 0) for kind in INCREMENTAL_KINDS)
+    return sum(counts.get(kind, 0) for kind in EVALUATION_KINDS)
 
 
 def evaluation_counter(registry: MetricsRegistry = REGISTRY):
@@ -112,8 +85,7 @@ def evaluation_histogram(registry: MetricsRegistry = REGISTRY):
 class InstrumentedBackend:
     """A pass-through :class:`PropagationBackend` that counts and traces.
 
-    Keeps a local ``counts`` dict (the old bench ``CountingBackend``
-    ledger, unchanged semantics), emits a span and a latency-histogram
+    Keeps a local ``counts`` dict, emits a span and a latency-histogram
     observation per sweep while the tracer is enabled, and flushes the
     ledger to the global metrics registry on :meth:`publish`.
     """
@@ -132,14 +104,6 @@ class InstrumentedBackend:
     def total_evaluations(self) -> int:
         """All evaluations of any kind, summed."""
         return sum(self.counts.values())
-
-    def sweep_evaluations(self) -> int:
-        """Full-graph sweeps only — the lazy-vs-eager headline number."""
-        return sweep_count(self.counts)
-
-    def incremental_evaluations(self) -> int:
-        """Incremental session operations only."""
-        return incremental_count(self.counts)
 
     def publish(self, registry: MetricsRegistry = REGISTRY) -> None:
         """Flush counts gathered since the last publish into ``registry``.
@@ -252,23 +216,10 @@ class InstrumentedBackend:
             filter_ids,
         )
 
-    def gain_session(
-        self,
-        graph: CGraph,
-        filters: Collection[Node] = (),
-    ) -> "InstrumentedGainSession":
-        """Open a counted incremental session (``session_init`` sweep)."""
-        # Construction runs the session's one full ψ/W sweep.
-        inner = self._sweep(
-            "session_init", self.inner.gain_session, graph, filters
-        )
-        return InstrumentedGainSession(inner, self.counts)
-
     # -- propagation-model axis -------------------------------------------
     # Sampled evaluations batch the model's worlds into one call; each
     # call is one (T-fold) whole-graph pass, so it lands on the same
-    # counter as its deterministic counterpart — the sweep/incremental
-    # split stays comparable across the model axis.
+    # counter as its deterministic counterpart.
 
     def sampled_marginal_gains_ids(
         self,
@@ -350,76 +301,6 @@ class InstrumentedBackend:
             model=model,
         )
 
-    def sampled_gain_session(
-        self,
-        graph: CGraph,
-        filters: Collection[Node] = (),
-        *,
-        model=None,
-    ) -> "InstrumentedGainSession":
-        """Open a counted SAA session (``session_init`` batched sweep)."""
-        inner = self._sweep(
-            "session_init",
-            self.inner.sampled_gain_session,
-            graph,
-            filters,
-            model=model,
-        )
-        return InstrumentedGainSession(inner, self.counts)
-
     def warm(self, graph: CGraph) -> None:
         """Forward warm-up uncounted — preprocessing, not an evaluation."""
         self.inner.warm(graph)
-
-
-class InstrumentedGainSession:
-    """A pass-through :class:`~repro.backends.base.GainSession` that counts.
-
-    Shares its counter dict with the :class:`InstrumentedBackend` that
-    opened it, so a whole placement run lands in one ledger.  The
-    incremental operations are the optimizer's innermost loop, so they
-    stay span-free even under tracing — one dict increment each.
-    """
-
-    def __init__(self, inner, counts: dict[str, int]) -> None:
-        self.inner = inner
-        self.backend_name = inner.backend_name
-        self.counts = counts
-
-    @property
-    def filters(self):
-        return self.inner.filters
-
-    @property
-    def nodes_touched(self) -> int:
-        return self.inner.nodes_touched
-
-    def gains(self):
-        """All current ``I(v | A)`` from the wrapped session, uncounted."""
-        # Reading the maintained state back is a copy, not a sweep: the
-        # propagation work was already charged to session_init/update.
-        return self.inner.gains()
-
-    def gain(self, node):
-        """One lazy gain read, counted as ``session_refresh``."""
-        self.counts["session_refresh"] += 1
-        return self.inner.gain(node)
-
-    def add_filter(self, node):
-        """One regional re-settle, counted as ``session_update``."""
-        self.counts["session_update"] += 1
-        return self.inner.add_filter(node)
-
-    def gains_ids(self):
-        """Id-indexed gains from the wrapped session, uncounted (a copy)."""
-        return self.inner.gains_ids()
-
-    def gain_id(self, node_id):
-        """One lazy id gain read, counted as ``session_refresh``."""
-        self.counts["session_refresh"] += 1
-        return self.inner.gain_id(node_id)
-
-    def add_filter_id(self, node_id):
-        """One regional id re-settle, counted as ``session_update``."""
-        self.counts["session_update"] += 1
-        return self.inner.add_filter_id(node_id)

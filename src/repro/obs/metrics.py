@@ -3,7 +3,7 @@
 A :class:`MetricsRegistry` holds named metric families; every layer of
 the stack increments the same process-global :data:`REGISTRY` so one
 ``GET /metrics`` scrape (or one :meth:`MetricsRegistry.render` call)
-shows backend sweeps, CELF heap traffic, sampled-world builds, cache
+shows backend sweeps, reachability warms, sampled-world builds, cache
 hits, job states, and graph-store residency side by side.
 
 Zero dependencies and deliberately small:

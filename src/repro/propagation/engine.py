@@ -113,8 +113,8 @@ def aggregate_receipts_ids(
     nreach: "list[int] | None" = None,
     pred: "tuple[tuple[int, ...], ...] | None" = None,
 ) -> list[int]:
-    """``T(v) = Σ_s ψ_s(v)`` in **one** sweep — the bit-packed tier's
-    deterministic workhorse.
+    """``T(v) = Σ_s ψ_s(v)`` in **one** sweep — the bit-packed
+    formulation's deterministic workhorse.
 
     The per-source sweeps are collapsible because the only per-source
     fact a filter's emission depends on is *whether* that source's item
@@ -139,10 +139,10 @@ def aggregate_receipts_ids(
     describe the same edge subset, or the filter emissions disagree
     with what actually arrived).
 
-    Cost: two sweeps per gains evaluation (this plus the suffix-weight
-    pass) instead of ``S + 1`` — the asymptotic win the bitpack tier is
-    built on.  Counts are exact Python ints, so no overflow ladder is
-    needed here.
+    Cost: two sweeps per gains evaluation (this plus the suffix-weight pass)
+    instead of ``S + 1`` — the asymptotic win the bit-packed formulation is
+    built on.  Counts are exact Python ints, so no overflow ladder is needed
+    here.
     """
     if pred is None:
         pred = compiled.pred_ids

@@ -21,7 +21,7 @@ both through the same *sample-average approximation* (SAA): a fixed set of
 **every** gain evaluation of a run (common random numbers).  Each world's
 objective is monotone submodular — it is the deterministic objective on a
 subgraph — so the sample-average objective is too, which is exactly what
-keeps CELF's stale-gain upper-bound argument valid under SAA
+keeps greedy's ``(1 − 1/e)`` guarantee valid under SAA
 (:mod:`repro.propagation.sampling` holds the worlds; the backends evaluate
 them).
 

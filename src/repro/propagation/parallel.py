@@ -173,7 +173,7 @@ def _rebuild_graph(spec: tuple) -> "CGraph":
 def _shard_worker(payload: tuple) -> Any:
     """Evaluate one world shard in a worker process.
 
-    ``payload`` is ``(kind, spec, filter_ids, model, tier, lo, hi)``.
+    ``payload`` is ``(kind, spec, filter_ids, model, lo, hi)``.
     The explicit ``trial_range`` keeps the worker on the serial path —
     even when a ``fork``-started child inherits a process-wide worker
     count, it can never re-dispatch to a nested pool.
@@ -181,17 +181,17 @@ def _shard_worker(payload: tuple) -> Any:
     kind = payload[0]
     if kind == "__crash__":
         raise RuntimeError("injected crash (test seam)")
-    kind, spec, filter_ids, model, tier, lo, hi = payload
+    kind, spec, filter_ids, model, lo, hi = payload
     graph = _rebuild_graph(spec)
     from repro.propagation import sampling
 
     if kind == "marginal_gains":
         return sampling.sampled_marginal_gains_ids_exact(
-            graph, filter_ids, model=model, tier=tier, trial_range=(lo, hi)
+            graph, filter_ids, model=model, trial_range=(lo, hi)
         )
     if kind == "simplified_impacts":
         return sampling.sampled_simplified_impacts_ids_exact(
-            graph, filter_ids, model=model, tier=tier, trial_range=(lo, hi)
+            graph, filter_ids, model=model, trial_range=(lo, hi)
         )
     if kind == "total_receipts":
         compiled = graph.compiled()
@@ -199,7 +199,6 @@ def _shard_worker(payload: tuple) -> Any:
             graph,
             compiled.to_nodes(filter_ids),
             model=model,
-            tier=tier,
             trial_range=(lo, hi),
         )
     raise ParameterError(f"unknown shard kind {kind!r}")
@@ -255,7 +254,6 @@ def evaluate_sharded(
     graph: "CGraph",
     filter_ids: list[int],
     model: "PropagationModel",
-    tier: str,
     *,
     workers: int | None = None,
     order: str = "forward",
@@ -285,7 +283,7 @@ def evaluate_sharded(
     if order == "reverse":
         ranges = ranges[::-1]
     payloads = [
-        (kind, spec, list(filter_ids), model, tier, lo, hi)
+        (kind, spec, list(filter_ids), model, lo, hi)
         for lo, hi in ranges
     ]
     pool = _get_pool(workers)

@@ -135,7 +135,7 @@ def warm_reach_counts(
 ) -> list:
     """Build (and cache) ``compiled``'s reach counts via the blocked sweep.
 
-    The single entry point both backends' ``warm()`` paths, the bitpack
+    The single entry point both backends' ``warm()`` paths, the NumPy
     ``_nreach`` build, and the service GraphStore route through.  Cached
     on the compiled graph — the same slot ``.fpc`` persistence
     (:func:`repro.graphs.largescale.save_compiled` /

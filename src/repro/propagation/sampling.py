@@ -16,9 +16,9 @@ whole design:
   evaluation of a run (cached here, weak-keyed by graph).  Under a fixed
   set of worlds the sample-average objective
   ``F̂(A) = (1/T) Σ_t F_t(A)`` is an average of deterministic objectives
-  on subgraphs — monotone and submodular — so CELF's stale-gain
-  upper-bound argument holds *exactly*, not just in expectation.  Fresh
-  coins per evaluation would break it.
+  on subgraphs — monotone and submodular — so greedy's guarantee holds
+  for it *exactly*, not just in expectation.  Fresh coins per
+  evaluation would break it.
 * **Backend-independent sampling.**  Masks come from one pure-Python
   ``random.Random(seed)`` pass in canonical forward-CSR edge order, so the
   python and numpy backends — and environments without NumPy — see the
@@ -169,13 +169,12 @@ MAX_WORLD_SETS_PER_GRAPH = 8
 def get_worlds(graph: CGraph, model: PropagationModel) -> SampledWorlds:
     """The (cached) sampled worlds of ``graph`` under ``model``.
 
-    Common-random-numbers contract: every evaluation of a run — eager
-    sweeps, CELF session updates, objective scoring — receives the same
-    worlds, so SAA gains are consistent and CELF's upper bounds are
-    exact.  Eviction cannot break that: worlds are a pure function of
+    Common-random-numbers contract: every evaluation of a run — gain sweeps,
+    objective scoring — receives the same worlds, so SAA gains are consistent
+    across the run.  Eviction cannot break that: worlds are a pure function of
     ``(graph, probabilities, trials, seed)`` (the sampler is seeded and
-    dependency-free), so a rebuilt set is bit-identical to the evicted
-    one — the bound trades only rebuild time, never results.
+    dependency-free), so a rebuilt set is bit-identical to the evicted one —
+    the bound trades only rebuild time, never results.
     """
     from repro.obs.metrics import REGISTRY
     from repro.obs.trace import span
@@ -219,18 +218,14 @@ def get_worlds(graph: CGraph, model: PropagationModel) -> SampledWorlds:
 # Pure-Python sampled evaluations (the exact/fallback implementations)
 # ----------------------------------------------------------------------
 #
-# Every function below takes the same two extra axes:
-#
-# * ``tier`` — "bitpack" (default) runs the aggregate two-sweeps-per-
-#   world formulation (one cached reachability sweep per world, then
-#   T + W per evaluation); "lanes" runs the historical one-ψ-sweep-per-
-#   source loop.  Bit-identical by contract.
-# * ``trial_range`` — evaluate only worlds ``[lo, hi)``.  ``None`` means
-#   all worlds *and* makes the call eligible for process-pool sharding
-#   (:mod:`repro.propagation.parallel`): with the pool armed and enough
-#   worlds, the call fans out to workers that each re-sample the same
-#   seeded worlds and evaluate an explicit sub-range; the integer reduce
-#   is bit-identical to this serial loop.
+# Every function below runs the aggregate formulation per world (one
+# cached reachability sweep per world, then T + W per evaluation) and
+# takes one extra axis, ``trial_range``: evaluate only worlds
+# ``[lo, hi)``.  ``None`` means all worlds *and* makes the call eligible
+# for process-pool sharding (:mod:`repro.propagation.parallel`): with
+# the pool armed and enough worlds, the call fans out to workers that
+# each re-sample the same seeded worlds and evaluate an explicit
+# sub-range; the integer reduce is bit-identical to this serial loop.
 
 
 def _resolve_trials(
@@ -253,22 +248,18 @@ def sampled_marginal_gains_ids_exact(
     filter_ids: Iterable[int] = (),
     *,
     model: PropagationModel,
-    tier: str = "bitpack",
     trial_range: "tuple[int, int] | None" = None,
 ) -> list[int]:
     """``Σ_t I_t(v | A)`` over interned ids — exact big-int SAA gains.
 
-    Per world: one ``W`` pass plus one aggregate ``T`` pass (bitpack) or
-    one ``ψ`` pass per source (lanes), on the world's pruned adjacency.
+    Per world: one ``W`` pass plus one aggregate ``T`` pass on the
+    world's pruned adjacency.
     Summed (not averaged) so ties and argmax compare on exact integers;
     divide by ``model.trials`` for the mean.
     """
     from repro.core.impact import absorbing_suffix_ids
     from repro.propagation import parallel
-    from repro.propagation.engine import (
-        aggregate_receipts_ids,
-        item_receipts_ids,
-    )
+    from repro.propagation.engine import aggregate_receipts_ids
 
     if not graph.sources:
         raise MissingSourceError("graph has no sources")
@@ -278,31 +269,22 @@ def sampled_marginal_gains_ids_exact(
     worlds = get_worlds(graph, model)
     if parallel.should_shard(worlds.trials, trial_range):
         return parallel.evaluate_sharded(
-            "marginal_gains", graph, filter_ids, model, tier
+            "marginal_gains", graph, filter_ids, model
         )
     gains = [0] * compiled.n
     for trial in _resolve_trials(worlds, trial_range):
         pred_t, succ_t = worlds.adjacency(trial)
         w = absorbing_suffix_ids(compiled, mask, succ_t)
-        if tier == "bitpack":
-            nreach_t = worlds.reach_counts(trial)
-            totals = aggregate_receipts_ids(compiled, mask, nreach_t, pred_t)
-            for v in range(compiled.n):
-                if mask[v]:
-                    continue
-                excess = totals[v] - nreach_t[v]
-                if excess:
-                    wv = w[v]
-                    if wv:
-                        gains[v] += excess * wv
-        else:
-            for origin_id in compiled.source_ids:
-                psi = item_receipts_ids(compiled, origin_id, mask, pred_t)
-                for v, count in enumerate(psi):
-                    if count > 1 and not mask[v]:
-                        wv = w[v]
-                        if wv:
-                            gains[v] += (count - 1) * wv
+        nreach_t = worlds.reach_counts(trial)
+        totals = aggregate_receipts_ids(compiled, mask, nreach_t, pred_t)
+        for v in range(compiled.n):
+            if mask[v]:
+                continue
+            excess = totals[v] - nreach_t[v]
+            if excess:
+                wv = w[v]
+                if wv:
+                    gains[v] += excess * wv
     return gains
 
 
@@ -311,16 +293,12 @@ def sampled_simplified_impacts_ids_exact(
     filter_ids: Iterable[int] = (),
     *,
     model: PropagationModel,
-    tier: str = "bitpack",
     trial_range: "tuple[int, int] | None" = None,
 ) -> list[int]:
     """``Σ_t ψ_t(v) · dout_t(v)`` over interned ids (``Greedy_L``'s SAA
     score; ``dout_t`` counts the world's *live* out-edges)."""
     from repro.propagation import parallel
-    from repro.propagation.engine import (
-        aggregate_receipts_ids,
-        item_receipts_ids,
-    )
+    from repro.propagation.engine import aggregate_receipts_ids
 
     compiled = graph.compiled()
     filter_ids = list(filter_ids)
@@ -328,22 +306,14 @@ def sampled_simplified_impacts_ids_exact(
     worlds = get_worlds(graph, model)
     if parallel.should_shard(worlds.trials, trial_range):
         return parallel.evaluate_sharded(
-            "simplified_impacts", graph, filter_ids, model, tier
+            "simplified_impacts", graph, filter_ids, model
         )
     scores = [0] * compiled.n
     for trial in _resolve_trials(worlds, trial_range):
         pred_t, succ_t = worlds.adjacency(trial)
-        if tier == "bitpack":
-            totals = aggregate_receipts_ids(
-                compiled, mask, worlds.reach_counts(trial), pred_t
-            )
-        else:
-            totals = [0] * compiled.n
-            for origin_id in compiled.source_ids:
-                psi = item_receipts_ids(compiled, origin_id, mask, pred_t)
-                for v, count in enumerate(psi):
-                    if count:
-                        totals[v] += count
+        totals = aggregate_receipts_ids(
+            compiled, mask, worlds.reach_counts(trial), pred_t
+        )
         for v, total in enumerate(totals):
             if total:
                 scores[v] += total * len(succ_t[v])
@@ -355,7 +325,6 @@ def sampled_total_receipts_exact(
     filters: Collection[Node] = (),
     *,
     model: PropagationModel,
-    tier: str = "bitpack",
     trial_range: "tuple[int, int] | None" = None,
 ) -> int:
     """``Σ_t Φ_t(A, V)`` — the summed-over-worlds objective raw material.
@@ -365,10 +334,7 @@ def sampled_total_receipts_exact(
     """
     from repro.graphs.validation import validate_filter_set
     from repro.propagation import parallel
-    from repro.propagation.engine import (
-        aggregate_receipts_ids,
-        item_receipts_ids,
-    )
+    from repro.propagation.engine import aggregate_receipts_ids
 
     if not graph.sources:
         raise MissingSourceError("graph has no sources")
@@ -379,20 +345,14 @@ def sampled_total_receipts_exact(
     worlds = get_worlds(graph, model)
     if parallel.should_shard(worlds.trials, trial_range):
         return parallel.evaluate_sharded(
-            "total_receipts", graph, filter_ids, model, tier
+            "total_receipts", graph, filter_ids, model
         )
     total = 0
     for trial in _resolve_trials(worlds, trial_range):
         pred_t, _ = worlds.adjacency(trial)
-        if tier == "bitpack":
-            total += sum(
-                aggregate_receipts_ids(
-                    compiled, mask, worlds.reach_counts(trial), pred_t
-                )
+        total += sum(
+            aggregate_receipts_ids(
+                compiled, mask, worlds.reach_counts(trial), pred_t
             )
-        else:
-            for origin_id in compiled.source_ids:
-                total += sum(
-                    item_receipts_ids(compiled, origin_id, mask, pred_t)
-                )
+        )
     return total

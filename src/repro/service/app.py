@@ -457,7 +457,7 @@ class ServiceApp:
         if model != "deterministic":
             raise RequestError(
                 "the 'sketch' strategy estimates deterministic relaying "
-                "only; drop 'model' or use strategy 'exact'/'lazy'"
+                "only; drop 'model' or use strategy 'exact'"
             )
         from repro.sketches.bottomk import DEFAULT_SKETCH_K, k_for_epsilon
 
@@ -749,12 +749,12 @@ class ServiceApp:
     def handle_metrics(self) -> tuple[int, str]:
         """``GET /metrics`` — the ledger in Prometheus text exposition.
 
-        Live-updated families (backend evaluations, CELF counters, job
-        durations, HTTP timings) render as-is; component-owned counters
-        (cache, store, jobs, request totals) are *mirrored at scrape
-        time* from each component's lock-guarded ``stats()``/``counts()``
-        snapshot, so the scrape is consistent and live code never pays a
-        registry lock per cache lookup.
+        Live-updated families (backend evaluations, warm and sketch counters,
+        job durations, HTTP timings) render as-is; component-owned counters
+        (cache, store, jobs, request totals) are *mirrored at scrape time* from
+        each component's lock-guarded ``stats()``/``counts()`` snapshot, so the
+        scrape is consistent and live code never pays a registry lock per cache
+        lookup.
         """
         from repro.obs.metrics import REGISTRY
 
@@ -802,6 +802,11 @@ class ServiceApp:
             "fp_store_compiled_mapped_bytes",
             "Bytes of compiled graph tables backed by memory-mapped files.",
         ).set(store["compiled_mapped_bytes"])
+        REGISTRY.counter(
+            "fp_store_snapshots_quarantined_total",
+            "Plan snapshots that failed to load at boot and were renamed "
+            "aside.",
+        ).set_total(store["quarantined_snapshots"])
 
         jobs = self.jobs.counts()
         job_gauge = REGISTRY.gauge(

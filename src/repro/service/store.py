@@ -4,7 +4,7 @@ Registering a graph is where the service pays its one-time costs — build
 the immutable :class:`~repro.graphs.cgraph.CGraph`, warm its **one**
 shared compiled plan (:meth:`CGraph.compiled`: interned ids, CSR both
 ways, cached topological order and level partition — the view every
-backend, session and algorithm consumes), and compute the per-graph
+backend and algorithm consumes), and compute the per-graph
 objective constants ``Φ(∅)`` and ``F(V)``.  Every subsequent placement
 request — on any backend, under any strategy — reuses all of it; there
 is exactly one compiled plan per digest, not one per backend.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import threading
 import time
 from collections import OrderedDict
@@ -37,6 +38,8 @@ Node = Hashable
 
 #: Shortest digest prefix accepted by :meth:`GraphStore.get`.
 MIN_DIGEST_PREFIX = 8
+
+logger = logging.getLogger("repro.service")
 
 
 def graph_digest(
@@ -245,7 +248,9 @@ class GraphStore:
         tables *and* warmed reach counts — and a restarted store
         memory-maps the whole set back with
         :func:`~repro.graphs.largescale.load_compiled`, skipping both
-        the compile and the reachability sweep.
+        the compile and the reachability sweep.  A snapshot that fails
+        to load is renamed aside to ``<digest>.fpc.corrupt`` with a
+        warning, and the store boots with the rest.
     """
 
     def __init__(
@@ -269,6 +274,8 @@ class GraphStore:
         #: Plans written to / restored from ``persist_dir`` this lifetime.
         self.persisted = 0
         self.restored = 0
+        #: Snapshots that failed to load and were renamed aside.
+        self.quarantined = 0
         if self._persist_dir is not None:
             self._restore_persisted()
 
@@ -338,8 +345,8 @@ class GraphStore:
             # each available backend's thin adapter over it (for the
             # NumPy backend that includes its overflow probe — genuinely
             # backend-private, but derived from the same structure, not
-            # a second copy of it).  The bitpack tiers' warm routes the
-            # reachability counts through the blocked out-of-core sweep.
+            # a second copy of it).  Each warm routes the reachability
+            # counts through the blocked out-of-core sweep.
             graph.compiled()
             from repro.backends.registry import (
                 available_backends,
@@ -421,6 +428,10 @@ class GraphStore:
         would only re-walk tables we already trust) and come back with
         their reach counts materialized from the ``.fpc`` reach table —
         the restart pays neither the compile nor the warm sweep.
+
+        One unreadable snapshot (bad JSON, a truncated table) must not
+        keep the store from booting: it is quarantined by
+        :meth:`_quarantine` and the loop moves on.
         """
         from repro.graphs.largescale import load_compiled
 
@@ -429,10 +440,14 @@ class GraphStore:
             marker = target / "store.json"
             if not marker.is_file():
                 continue
-            with open(marker, "r", encoding="utf-8") as handle:
-                info = json.load(handle)
-            digest = str(info["digest"])
-            graph = load_compiled(target)
+            try:
+                with open(marker, "r", encoding="utf-8") as handle:
+                    info = json.load(handle)
+                digest = str(info["digest"])
+                graph = load_compiled(target)
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                self._quarantine(target, exc)
+                continue
             entry = GraphEntry(
                 digest,
                 graph,
@@ -442,6 +457,32 @@ class GraphStore:
             with self._lock:
                 self._entries[digest] = entry
             self.restored += 1
+
+    def _quarantine(self, target: Path, exc: Exception) -> None:
+        """Rename a snapshot that failed to load to ``<name>.corrupt``.
+
+        The ``.fpc`` glob no longer matches it, so the next boot skips
+        it, while the files stay on disk for inspection.  A numeric
+        suffix keeps an earlier quarantine of the same digest intact.
+        """
+        aside = target.with_name(target.name + ".corrupt")
+        suffix = 1
+        while aside.exists():
+            aside = target.with_name(f"{target.name}.corrupt.{suffix}")
+            suffix += 1
+        try:
+            target.rename(aside)
+        except OSError as rename_exc:
+            logger.warning(
+                "corrupt plan snapshot %s left in place (%s): %s",
+                target, rename_exc, exc,
+            )
+        else:
+            logger.warning(
+                "quarantined corrupt plan snapshot %s as %s: %s",
+                target, aside.name, exc,
+            )
+        self.quarantined += 1
 
     def register_dataset(
         self,
@@ -543,6 +584,7 @@ class GraphStore:
                 "compiled_mapped_bytes": mapped_bytes,
                 "persisted_plans": self.persisted,
                 "restored_plans": self.restored,
+                "quarantined_snapshots": self.quarantined,
             }
 
     # ------------------------------------------------------------------

@@ -1,34 +1,33 @@
 """``Greedy_All`` on sketch-estimated gains — the ``sketch`` strategy.
 
-The third execution strategy beside ``exact`` and ``lazy``: CELF-style
-selection driven by the bottom-k gain estimates of
-:class:`repro.sketches.gains.SketchGainEngine`, followed by an exact
-rescore of the winning prefix.  The contract, in decreasing strength:
+The execution strategy beside ``exact``: CELF-style selection driven by the
+bottom-k gain estimates of :class:`repro.sketches.gains.SketchGainEngine`,
+followed by an exact rescore of the winning prefix.  The contract, in
+decreasing strength:
 
 * **Exactness regime** (fewer sources than registers — every built-in
   dataset, the whole fuzz corpus): estimates are exact integers and the
-  selection is *bit-identical* to ``exact``/``lazy`` ``Greedy_All``,
-  including tie-breaks.  Steps are exact by construction
-  (``rescored=True`` with no extra work).
+  selection is *bit-identical* to ``exact`` ``Greedy_All``, including
+  tie-breaks.  Steps are exact by construction (``rescored=True`` with no extra
+  work).
 * **Approximate regime, small graph** (``n ≤ rescore_limit``): selection
   is heuristic (estimated gains are only approximately submodular), but
-  the returned step gains are exact — one incremental gain session
+  the returned step gains are exact — one exact gain sweep per step
   replays the chosen prefix and rescores each pick, feeding the
   estimator-error histogram.  ``rescored=True``; the estimates that
   drove selection survive in ``PlacementResult.estimated_gains``.
 * **Approximate regime, large graph**: rescoring is skipped
   (``rescored=False``), steps carry the estimates, and exact objectives
   are left to the caller's scoring boundary (the bench score phase / the
-  service serializer) — the rescore's gain-session build costs about one
-  exact run, which is exactly what the sketch tier exists to avoid.
+  service serializer) — the rescore costs about one exact run, which is
+  exactly what the sketch tier exists to avoid.
 
-Unlike the lazy strategy, staleness here is *global*: a placement can
-move any node's estimated gain, so each selection bumps a version
-counter and the first stale pop of a round triggers one full
-(two-sweep) re-estimate; further stale pops are O(1) reads of the fresh
-vector.  ``k`` placements therefore cost ``k + 1`` two-sweep
-evaluations — the float analog of eager ``Greedy_All``'s sweep count,
-at float/NumPy speed instead of big-int speed.
+Staleness here is *global*: a placement can move any node's estimated gain, so
+each selection bumps a version counter and the first stale pop of a round
+triggers one full (two-sweep) re-estimate; further stale pops are O(1) reads of
+the fresh vector.  ``k`` placements therefore cost ``k + 1`` two-sweep
+evaluations — the float analog of eager ``Greedy_All``'s sweep count, at
+float/NumPy speed instead of big-int speed.
 """
 
 from __future__ import annotations
@@ -54,10 +53,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Above this node count the exact prefix rescore is skipped; exact
 #: objectives then come from the caller's scoring boundary instead.
-#: The rescore replays the prefix through one exact gain session, whose
-#: big-int construction costs roughly a full exact run — affordable only
-#: where exact itself is affordable, so the guard sits where the session
-#: build is still sub-second-ish, not at the scale tier's upper rungs.
+#: The rescore replays the prefix with one exact gain sweep per step,
+#: which costs roughly a full exact run — affordable only where exact
+#: itself is affordable, so the guard sits where that is still
+#: sub-second-ish, not at the scale tier's upper rungs.
 DEFAULT_RESCORE_LIMIT = 5_000
 
 #: Relative-error bucket edges for ``fp_sketch_relative_error``.
@@ -85,11 +84,14 @@ class SketchCelfGreedyAll:
     lanes:
         Pin the sketch/sweep implementation (``"numpy"``/``"python"``);
         None auto-selects.  Both lanes select identically.
-    early_stop / backend / name / model:
-        As for :class:`repro.core.celf.CelfGreedyAll`.  ``model`` must
-        resolve to the deterministic unit model — sketches estimate
-        deterministic reachability, so probabilistic relaying is
-        rejected rather than silently mis-estimated.
+    early_stop / backend / model:
+        As for :class:`repro.core.greedy_all.GreedyAll`; ``backend`` runs the
+        exact rescore.  ``model`` must resolve to the deterministic unit model
+        — sketches estimate deterministic reachability, so probabilistic
+        relaying is rejected rather than silently mis-estimated.
+    name:
+        Override the reported algorithm name (the strategy layer passes
+        the base name, e.g. ``"G_All"``).
     """
 
     name = "G_All_sketch"
@@ -146,8 +148,7 @@ class SketchCelfGreedyAll:
         if resolve_model(self.model) is not None:
             raise ParameterError(
                 "the sketch strategy estimates deterministic reachability; "
-                "probabilistic relaying models require strategy "
-                "'exact' or 'lazy'"
+                "probabilistic relaying models require strategy 'exact'"
             )
         if k == 0:
             return PlacementResult(
@@ -244,11 +245,13 @@ class SketchCelfGreedyAll:
                 "sketch.rescore", steps=len(chosen_ids),
                 backend=backend.name,
             ):
-                session = backend.gain_session(graph, ())
                 rescored_steps = []
-                for step, v, estimate in zip(steps, chosen_ids, estimates):
-                    exact_gain = session.gain_id(v)
-                    session.add_filter_id(v)
+                for i, (step, v, estimate) in enumerate(
+                    zip(steps, chosen_ids, estimates)
+                ):
+                    exact_gain = backend.marginal_gains_ids(
+                        graph, chosen_ids[:i]
+                    )[v]
                     error_hist.observe(
                         abs(estimate - exact_gain) / max(exact_gain, 1)
                     )

@@ -11,11 +11,15 @@ strategy and backend.
 
 Nothing here may import from ``repro.backends`` or touch
 ``CGraph.compiled()``: the whole point is an independent derivation.
+The ``sampled_*_dict`` functions take only the sampled worlds' coin
+flips from :func:`repro.propagation.sampling.get_worlds` (common random
+numbers are the contract: every route must score the same worlds) and
+run the per-world, per-source dict sweeps themselves.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Callable, Collection, Iterable
 from typing import Hashable
 
 from repro.graphs.cgraph import CGraph
@@ -27,8 +31,14 @@ def item_receipts_dict(
     graph: CGraph,
     origin: Node,
     filters: Collection[Node] = (),
+    successors: "Callable[[Node], Iterable[Node]] | None" = None,
 ) -> dict[Node, int]:
-    """Seed ``item_receipts``: one forward dict pass per item."""
+    """Seed ``item_receipts``: one forward dict pass per item.
+
+    ``successors`` restricts the sweep to an edge subset (a sampled
+    world); None walks every edge of ``graph``.
+    """
+    successors = successors or graph.successors
     filter_set = set(filters)
     order = graph.topological_order()
     received: dict[Node, int] = dict.fromkeys(order, 0)
@@ -41,7 +51,7 @@ def item_receipts_dict(
                 continue
             emit = 1 if v in filter_set else count
         if emit:
-            for child in graph.successors(v):
+            for child in successors(v):
                 received[child] += emit
     return received
 
@@ -68,14 +78,16 @@ def phi_dict(graph: CGraph, filters: Collection[Node] = ()) -> int:
 def absorbing_suffix_dict(
     graph: CGraph,
     filters: Collection[Node] = (),
+    successors: "Callable[[Node], Iterable[Node]] | None" = None,
 ) -> dict[Node, int]:
-    """Seed ``W``: one backward dict pass."""
+    """Seed ``W``: one backward dict pass (``successors`` as above)."""
+    successors = successors or graph.successors
     filter_set = set(filters)
     order = graph.topological_order()
     w: dict[Node, int] = dict.fromkeys(order, 0)
     for v in reversed(order):
         acc = 0
-        for u in graph.successors(v):
+        for u in successors(v):
             acc += 1
             if u not in filter_set:
                 acc += w[u]
@@ -115,6 +127,80 @@ def simplified_impacts_dict(
         for v in order:
             totals[v] += psi[v]
     return {v: totals[v] * graph.out_degree(v) for v in graph.nodes()}
+
+
+# ----------------------------------------------------------------------
+# Sample-average queries: per-world, per-source dict sweeps, summed
+# (not averaged) over worlds, as the backends report them
+# ----------------------------------------------------------------------
+
+
+def _world_successors(graph: CGraph, model) -> list[dict[Node, list[Node]]]:
+    """Each sampled world's live out-edges, keyed by node.
+
+    The worlds' masks hold one coin per edge in forward-CSR order:
+    ``graph.nodes()`` order, each node's successors in adjacency order.
+    """
+    from repro.propagation.sampling import get_worlds
+
+    worlds = []
+    for mask in get_worlds(graph, model).masks:
+        live: dict[Node, list[Node]] = {}
+        pos = 0
+        for v in graph.nodes():
+            live[v] = []
+            for child in graph.successors(v):
+                if mask[pos]:
+                    live[v].append(child)
+                pos += 1
+        worlds.append(live)
+    return worlds
+
+
+def sampled_marginal_gains_dict(
+    graph: CGraph, filters: Collection[Node], model
+) -> dict[Node, int]:
+    """``Σ_t I_t(v | A)``: one W pass plus one ψ pass per source, per world."""
+    filter_set = set(filters)
+    gains: dict[Node, int] = dict.fromkeys(graph.nodes(), 0)
+    for live in _world_successors(graph, model):
+        w = absorbing_suffix_dict(graph, filter_set, live.__getitem__)
+        for origin in graph.sources:
+            psi = item_receipts_dict(
+                graph, origin, filter_set, live.__getitem__
+            )
+            for v, count in psi.items():
+                if count > 1 and v not in filter_set:
+                    gains[v] += (count - 1) * w[v]
+    return gains
+
+
+def sampled_simplified_impacts_dict(
+    graph: CGraph, filters: Collection[Node], model
+) -> dict[Node, int]:
+    """``Σ_t ψ_t(v) · dout_t(v)`` with ``dout_t`` the live out-degree."""
+    scores: dict[Node, int] = dict.fromkeys(graph.nodes(), 0)
+    for live in _world_successors(graph, model):
+        for origin in graph.sources:
+            psi = item_receipts_dict(graph, origin, filters, live.__getitem__)
+            for v, count in psi.items():
+                scores[v] += count * len(live[v])
+    return scores
+
+
+def sampled_total_receipts_dict(
+    graph: CGraph, filters: Collection[Node], model
+) -> int:
+    """``Σ_t Φ_t(A, V)``: every world's receipts, summed exactly."""
+    total = 0
+    for live in _world_successors(graph, model):
+        for origin in graph.sources:
+            total += sum(
+                item_receipts_dict(
+                    graph, origin, filters, live.__getitem__
+                ).values()
+            )
+    return total
 
 
 # ----------------------------------------------------------------------

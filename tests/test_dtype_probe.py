@@ -6,8 +6,8 @@ arithmetic — the numpy plan probe, the sampled-state builder, and the
 bit-packed aggregate sweeps.  These tests pin the ladder's exact
 boundaries (int32 / int64 / exact), its treatment of non-finite probe
 values, and — end to end — that a graph whose receipt counts blow past
-int64 makes the bitpack tier fall back to exact big-int evaluation that
-still matches the dict-path oracle bit for bit.
+int64 makes the bit-packed sweeps fall back to exact big-int evaluation
+that still matches the dict-path oracle bit for bit.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def test_bitpack_overflow_falls_back_to_exact_bigint():
     from repro.backends.numpy_backend import NumpyBackend
 
     graph = diamond_chain(70)  # deepest receipts reach 2**70 > int64
-    backend = NumpyBackend(tier="bitpack")
+    backend = NumpyBackend()
     plan = backend.plan_for(graph)
     assert plan.exact_only, (
         "the probe failed to flag a 2**70-receipt graph as exact-only"
@@ -115,13 +115,13 @@ def test_bitpack_overflow_falls_back_to_exact_bigint():
 
 
 def test_python_bitpack_handles_huge_counts_natively():
-    # The pure-python bitpack tier needs no fallback: its popcount
+    # The pure-python bit-packed sweeps need no fallback: their popcount
     # totals are unbounded ints.  Equivalence must hold far past int64.
     import oracle_dictpath as oracle
     from repro.backends.python_backend import PythonBackend
 
     graph = diamond_chain(70)
-    backend = PythonBackend(tier="bitpack")
+    backend = PythonBackend()
     assert backend.marginal_gains(graph) == oracle.marginal_gains_dict(
         graph
     )

@@ -1,24 +1,26 @@
-"""Differential fuzzing: bitpack vs lanes vs the dict-path oracle.
+"""Differential fuzzing: every backend vs the dict-path oracle.
 
-The bit-packed sweep tier answers every aggregate query from packed
-source-reachability words — a different algorithm, not a different
-implementation of the same loop — so it gets the adversarial treatment:
-a fixed seeded corpus of random DAGs (:mod:`strategies`) is driven
-through every query, algorithm, strategy, backend and sweep tier, and
-each route must produce bit-identical integers and placements.
+The bit-packed sweeps answer every aggregate query from packed
+source-reachability words — a different algorithm from the per-source
+recurrence, not a different implementation of the same loop — so they
+get the adversarial treatment: a fixed seeded corpus of random DAGs
+(:mod:`strategies`) is driven through every query, algorithm, strategy
+and backend, and each route must produce integers and placements
+bit-identical to :mod:`oracle_dictpath`, the pre-refactor dict engine,
+which touches neither ``repro.backends`` nor ``CGraph.compiled()`` and
+sweeps one ``ψ`` lane per source.
 
-Three independent derivations are cross-checked per case:
+Every deterministic case also runs under two reachability layouts (the
+``bitpack``/``lanes`` id prefix, see :data:`REACH_LAYOUTS`): the
+aggregate sweeps consume a per-graph ``nreach`` table, and the results
+must not depend on how many source lanes one warm window packed.
 
-* ``tier="bitpack"`` — aggregated popcount sweeps (the default);
-* ``tier="lanes"`` — the historical one-lane-per-source formulation;
-* :mod:`oracle_dictpath` — the pre-refactor dict engine, which touches
-  neither ``repro.backends`` nor ``CGraph.compiled()``.
-
-Probabilistic cases compare the two tiers over identical sampled worlds
-(common random numbers), where results are exact summed integers and so
-must match bit-for-bit, not approximately.  The whole module runs
-without NumPy (the numpy axis simply drops out), which is how the
-no-numpy CI job fuzzes the pure-Python engine alone.
+Probabilistic cases compare every backend with the oracle's per-world,
+per-source sums over identical sampled worlds (common random numbers),
+where results are exact summed integers and so must match bit-for-bit,
+not approximately.  The whole module runs without NumPy (the numpy axis
+simply drops out), which is how the no-numpy CI job fuzzes the
+pure-Python engine alone.
 """
 
 from __future__ import annotations
@@ -27,29 +29,42 @@ import pytest
 
 import oracle_dictpath as oracle
 from strategies import DagCase, standard_cases
-from repro.backends.python_backend import TIERS
 from repro.backends.registry import available_backends, build_backend
 from repro.core.registry import STRATEGY_NAMES, get_algorithm
 from repro.propagation.model import PropagationModel
+from repro.propagation.reach import warm_reach_counts
 
 CASES = standard_cases()
 K = 4
 TRIALS = 6  # below the pool threshold: the fuzz corpus stays in-process
 
-_graphs: dict[str, object] = {}
-_backends: dict[tuple[str, str], object] = {}
+#: Reachability layouts the deterministic cases run under.  ``bitpack``
+#: derives ``nreach`` the default way, packing up to
+#: ``DEFAULT_REACH_BLOCK`` source lanes per warm window; ``lanes`` warms
+#: it one source lane per window (``block=1``, the per-source
+#: reachability recurrence) before any backend sees the graph.  Each
+#: layout gets its own graph object, so neither inherits the other's
+#: cached counts.
+REACH_LAYOUTS = ("bitpack", "lanes")
+
+_graphs: dict[tuple[str, str], object] = {}
+_backends: dict[str, object] = {}
 
 
-def case_graph(case: DagCase):
-    if case.name not in _graphs:
-        _graphs[case.name] = case.build()
-    return _graphs[case.name]
+def case_graph(case: DagCase, layout: str = "bitpack"):
+    key = (case.name, layout)
+    if key not in _graphs:
+        graph = case.build()
+        if layout == "lanes":
+            warm_reach_counts(graph.compiled(), block=1)
+        _graphs[key] = graph
+    return _graphs[key]
 
 
-def tier_backend(name: str, tier: str):
-    if (name, tier) not in _backends:
-        _backends[(name, tier)] = build_backend(name, tier=tier)
-    return _backends[(name, tier)]
+def fuzz_backend(name: str):
+    if name not in _backends:
+        _backends[name] = build_backend(name)
+    return _backends[name]
 
 
 def case_filter_sets(case: DagCase):
@@ -67,10 +82,10 @@ def test_corpus_is_stable():
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
 @pytest.mark.parametrize("backend_name", available_backends())
-@pytest.mark.parametrize("tier", TIERS)
-def test_sweep_numbers_match_dict_oracle(case, backend_name, tier):
-    graph = case_graph(case)
-    backend = tier_backend(backend_name, tier)
+@pytest.mark.parametrize("layout", REACH_LAYOUTS)
+def test_sweep_numbers_match_dict_oracle(case, backend_name, layout):
+    graph = case_graph(case, layout)
+    backend = fuzz_backend(backend_name)
     for filters in case_filter_sets(case):
         assert backend.marginal_gains(
             graph, filters
@@ -90,17 +105,17 @@ def test_sweep_numbers_match_dict_oracle(case, backend_name, tier):
 @pytest.mark.parametrize("algorithm", sorted(oracle.ORACLE_PLACERS))
 @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
 @pytest.mark.parametrize("backend_name", available_backends())
-@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("layout", REACH_LAYOUTS)
 def test_placements_match_dict_oracle(
-    case, algorithm, strategy, backend_name, tier
+    case, algorithm, strategy, backend_name, layout
 ):
-    graph = case_graph(case)
+    graph = case_graph(case, layout)
     expected = oracle.ORACLE_PLACERS[algorithm](graph, K)
-    backend = tier_backend(backend_name, tier)
+    backend = fuzz_backend(backend_name)
     instance = get_algorithm(algorithm, strategy=strategy, backend=backend)
     result = instance.place(graph, K)
     assert result.filters == expected, (
-        f"{case.name}/{algorithm}/{strategy}/{backend_name}/{tier} "
+        f"{case.name}/{algorithm}/{strategy}/{backend_name}/{layout} "
         "diverged from the dict-path oracle"
     )
 
@@ -108,24 +123,28 @@ def test_placements_match_dict_oracle(
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
 @pytest.mark.parametrize("backend_name", available_backends())
 def test_incremental_sessions_match_oracle_across_tiers(case, backend_name):
-    graph = case_graph(case)
-    pool = case.filter_pool(3)
-    sessions = [
-        tier_backend(backend_name, tier).gain_session(graph)
-        for tier in TIERS
-    ]
-    placed: list = []
-    for nxt in [None, *pool]:
-        if nxt is not None:
-            for session in sessions:
-                session.add_filter(nxt)
-            placed.append(nxt)
-        expected = oracle.marginal_gains_dict(graph, placed)
-        for tier, session in zip(TIERS, sessions):
-            assert session.gains() == expected, (
-                f"{case.name}/{backend_name}/{tier} session diverged "
-                f"after placing {placed}"
+    """Gains re-swept after each placement match the oracle, per layout.
+
+    A caller walking a placement sequence (the sketch strategy's exact
+    rescore) re-sweeps ``marginal_gains_ids`` on every prefix; each
+    prefix's gains must equal the oracle's in both reachability layouts,
+    through the id path and the node-keyed path alike.
+    """
+    backend = fuzz_backend(backend_name)
+    pool = list(case.filter_pool(3))
+    for step in range(len(pool) + 1):
+        placed = pool[:step]
+        expected = oracle.marginal_gains_dict(case_graph(case), placed)
+        for layout in REACH_LAYOUTS:
+            graph = case_graph(case, layout)
+            compiled = graph.compiled()
+            assert backend.marginal_gains(graph, placed) == expected, (
+                f"{case.name}/{backend_name}/{layout} diverged after "
+                f"placing {placed}"
             )
+            assert list(
+                backend.marginal_gains_ids(graph, compiled.to_ids(placed))
+            ) == [expected[v] for v in compiled.nodes]
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
@@ -133,6 +152,7 @@ def test_incremental_sessions_match_oracle_across_tiers(case, backend_name):
 def test_sampled_queries_bit_identical_across_tiers_and_backends(
     case, mechanism
 ):
+    """Every backend, in both reachability layouts, equals the oracle."""
     graph = case_graph(case)
     model = PropagationModel(
         mechanism=mechanism,
@@ -142,11 +162,19 @@ def test_sampled_queries_bit_identical_across_tiers_and_backends(
     )
     filters = case_filter_sets(case)[1]
     filter_ids = graph.compiled().to_ids(filters)
-    results = {}
+    nodes = graph.nodes()
+    gains = oracle.sampled_marginal_gains_dict(graph, filters, model)
+    impacts = oracle.sampled_simplified_impacts_dict(graph, filters, model)
+    expected = (
+        [gains[v] for v in nodes],
+        [impacts[v] for v in nodes],
+        oracle.sampled_total_receipts_dict(graph, filters, model),
+    )
     for backend_name in available_backends():
-        for tier in TIERS:
-            backend = tier_backend(backend_name, tier)
-            results[(backend_name, tier)] = (
+        backend = fuzz_backend(backend_name)
+        for layout in REACH_LAYOUTS:
+            graph = case_graph(case, layout)
+            got = (
                 list(
                     backend.sampled_marginal_gains_ids(
                         graph, filter_ids, model=model
@@ -159,12 +187,11 @@ def test_sampled_queries_bit_identical_across_tiers_and_backends(
                 ),
                 backend.sampled_total_receipts(graph, filters, model=model),
             )
-    reference = results[("python", "lanes")]
-    for key, value in results.items():
-        assert value == reference, (
-            f"{case.name}/{mechanism}: sampled results of {key} diverged "
-            "from python/lanes over identical worlds"
-        )
+            assert got == expected, (
+                f"{case.name}/{mechanism}: sampled results of "
+                f"{backend_name}/{layout} diverged from the dict-path "
+                "oracle over identical worlds"
+            )
 
 
 # ----------------------------------------------------------------------

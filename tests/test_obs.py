@@ -3,7 +3,7 @@
 Covers the :mod:`repro.obs` contract the rest of the stack leans on:
 span nesting and timing, histogram bucket edges, exposition-format
 validity, the disabled-path no-op guarantee, and the counter semantics
-``InstrumentedBackend`` inherited from the bench ``CountingBackend``.
+of ``InstrumentedBackend``.
 """
 
 from __future__ import annotations
@@ -20,13 +20,11 @@ from repro.obs.instrument import (
     EVALUATION_KINDS,
     InstrumentedBackend,
     evaluation_counter,
-    incremental_count,
     sweep_count,
 )
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     REGISTRY,
-    Counter,
     MetricsRegistry,
 )
 from repro.obs.trace import (
@@ -241,16 +239,8 @@ def test_label_values_are_escaped():
 
 
 # ----------------------------------------------------------------------
-# InstrumentedBackend (the CountingBackend contract, kept)
+# InstrumentedBackend
 # ----------------------------------------------------------------------
-
-
-def test_counting_alias_is_instrumented_backend():
-    from repro.bench.instrument import CountingBackend, CountingGainSession
-    from repro.obs.instrument import InstrumentedGainSession
-
-    assert CountingBackend is InstrumentedBackend
-    assert CountingGainSession is InstrumentedGainSession
 
 
 def test_instrumented_backend_counts_toy_run(fig1):
@@ -259,18 +249,10 @@ def test_instrumented_backend_counts_toy_run(fig1):
     backend.marginal_gains_ids(fig1)  # id fast path: same counter
     backend.total_receipts(fig1)
     backend.warm(fig1)  # preprocessing: never counted
-    session = backend.gain_session(fig1)
-    session.gains()  # a copy, not a sweep: uncounted
-    session.gain_id(0)
-    session.add_filter_id(0)
     assert backend.counts["marginal_gains"] == 2
     assert backend.counts["total_receipts"] == 1
-    assert backend.counts["session_init"] == 1
-    assert backend.counts["session_refresh"] == 1
-    assert backend.counts["session_update"] == 1
-    assert backend.sweep_evaluations() == 4
-    assert backend.incremental_evaluations() == 2
-    assert backend.total_evaluations() == 6
+    assert sweep_count(backend.counts) == 3
+    assert backend.total_evaluations() == 3
     backend.reset()
     assert backend.total_evaluations() == 0
 
@@ -306,10 +288,9 @@ def test_no_spans_recorded_when_tracer_disabled(fig1):
     TRACER.enable()
     with TRACER.trace(trace_id="t-sweeps") as trace:
         backend.marginal_gains(fig1)
-        session = backend.gain_session(fig1)
-        session.gain_id(0)  # incremental ops stay span-free always
+        backend.total_receipts(fig1)
     names = [s.name for s in trace.roots]
-    assert names == ["backend.marginal_gains", "backend.session_init"]
+    assert names == ["backend.marginal_gains", "backend.total_receipts"]
 
 
 def test_toy_suite_counter_regression():
@@ -322,26 +303,10 @@ def test_toy_suite_counter_regression():
     for r in records:
         if r.scenario.dataset == "fig10":
             by_alg[r.scenario.algorithm] = r.evaluations
-    # Eager G_All: one marginal-gains sweep per placed filter; lazy:
-    # one session_init sweep plus incremental session traffic.
+    # G_All: one marginal-gains sweep per placed filter and nothing else.
     assert sweep_count(by_alg["G_All"]) == 3
-    assert incremental_count(by_alg["G_All"]) == 0
-    assert sweep_count(by_alg["G_All_lazy"]) == 1
-    assert incremental_count(by_alg["G_All_lazy"]) > 0
+    assert by_alg["G_All"]["marginal_gains"] == 3
     assert set(by_alg["G_All"]) == set(EVALUATION_KINDS)
-
-
-def test_celf_publishes_heap_metrics(fig1):
-    from repro.core.registry import get_algorithm
-
-    pops = REGISTRY.counter("fp_celf_heap_pops_total")
-    updates = REGISTRY.counter("fp_celf_updates_total")
-    before_pops, before_updates = pops.value(), updates.value()
-    algorithm = get_algorithm("G_All", strategy="lazy")
-    result = algorithm.place(fig1, 2)
-    assert len(result.filters) >= 1  # fig1 runs out of positive gains
-    assert pops.value() > before_pops
-    assert updates.value() == before_updates + len(result.filters)
 
 
 def test_sampling_world_cache_metrics():
@@ -405,3 +370,22 @@ def test_cli_trace_flag_does_not_leak_enabled_state(capsys):
     main(["place", "--dataset", "fig10", "-k", "1",
           "--backend", "python", "--trace"])
     assert not TRACER.enabled
+
+
+def test_metric_catalog_matches_registered_families():
+    """docs/observability.md lists exactly the ``fp_*`` families in src/."""
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    registered = {
+        name
+        for path in (root / "src" / "repro").rglob("*.py")
+        for name in re.findall(r'"(fp_[a-z0-9_]+)"', path.read_text())
+    }
+    catalog_text = (root / "docs" / "observability.md").read_text()
+    cataloged = set(re.findall(r"^\| `(fp_[a-z0-9_]+)` \|", catalog_text, re.M))
+    assert registered, "no fp_* families found under src/"
+    assert cataloged == registered, (
+        f"missing from the catalog: {sorted(registered - cataloged)}; "
+        f"cataloged but never registered: {sorted(cataloged - registered)}"
+    )

@@ -89,7 +89,6 @@ def test_sharded_evaluations_bit_identical_to_serial(
                 graph,
                 filter_ids,
                 model,
-                "bitpack",
                 workers=workers,
                 order=order,
             )
@@ -103,7 +102,6 @@ def test_sharded_evaluations_bit_identical_to_serial(
                 graph,
                 filter_ids,
                 model,
-                "bitpack",
                 workers=workers,
                 order=order,
             )
@@ -116,7 +114,6 @@ def test_sharded_evaluations_bit_identical_to_serial(
             graph,
             filter_ids,
             model,
-            "bitpack",
             workers=workers,
             order=order,
         )
@@ -156,14 +153,14 @@ def test_worker_crash_surfaces_cleanly_and_pool_recovers(graph, model):
     filter_ids: list = []
     with pytest.raises(parallel.WorldShardError):
         parallel.evaluate_sharded(
-            "__crash__", graph, filter_ids, model, "bitpack", workers=2
+            "__crash__", graph, filter_ids, model, workers=2
         )
     # The pool is not poisoned: the very next dispatch succeeds and
     # still matches the serial loop.
     expected = sampled_total_receipts_exact(graph, (), model=model)
     assert (
         parallel.evaluate_sharded(
-            "total_receipts", graph, filter_ids, model, "bitpack", workers=2
+            "total_receipts", graph, filter_ids, model, workers=2
         )
         == expected
     )

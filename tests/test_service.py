@@ -415,7 +415,7 @@ def test_app_healthz_and_algorithms(app):
     names = {row["name"] for row in catalog["algorithms"]}
     assert {"G_All", "G_Max", "Rand_K"} <= names
     g_all = next(r for r in catalog["algorithms"] if r["name"] == "G_All")
-    assert g_all["lazy_capable"] and g_all["deterministic"]
+    assert g_all["sketch_capable"] and g_all["deterministic"]
 
 
 def test_app_process_pool_matches_thread_pool():
@@ -701,6 +701,46 @@ def test_store_persist_dir_roundtrip(tmp_path):
     )
     stats = restored.stats()
     assert stats["restored_plans"] == 1
+
+
+@pytest.mark.parametrize(
+    "damage", ["truncated_store_json", "truncated_table"]
+)
+def test_store_boots_past_a_corrupt_snapshot(tmp_path, caplog, damage):
+    persist = tmp_path / "plans"
+    store = GraphStore(persist_dir=persist)
+    bad, _ = store.register_dataset("quote")
+    good, _ = store.register_dataset("fig1")
+    snapshot = persist / f"{bad.digest}.fpc"
+    if damage == "truncated_store_json":
+        (snapshot / "store.json").write_text("{not json")
+    else:
+        table = snapshot / "out_targets.bin"
+        table.write_bytes(table.read_bytes()[:-4])
+
+    with caplog.at_level("WARNING", logger="repro.service"):
+        app = ServiceApp(
+            workers=1, warm_backends=False, persist_dir=str(persist)
+        )
+    try:
+        # The healthy snapshot still boots; the damaged one is moved
+        # aside, logged, and counted on /metrics.
+        assert app.store.digests() == (good.digest,)
+        assert app.store.stats()["quarantined_snapshots"] == 1
+        status, exposition = app.handle_metrics()
+        assert status == 200
+        assert "fp_store_snapshots_quarantined_total 1" in exposition
+    finally:
+        app.close()
+    assert not snapshot.exists()
+    assert (persist / f"{bad.digest}.fpc.corrupt").is_dir()
+    assert "quarantined corrupt plan snapshot" in caplog.text
+    # The next boot skips the quarantined copy without counting it again,
+    # and re-registering the graph persists a fresh snapshot.
+    again = GraphStore(persist_dir=persist)
+    assert again.stats()["quarantined_snapshots"] == 0
+    again.register_dataset("quote")
+    assert (snapshot / "meta.json").is_file()
 
 
 def test_persist_dir_skips_probabilistic_and_cyclic(tmp_path):
