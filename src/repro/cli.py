@@ -237,13 +237,16 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_warm_arguments(parser: argparse.ArgumentParser) -> None:
+    from repro.graphs.compiled import DEFAULT_REACH_BLOCK
+
     parser.add_argument(
         "--reach-block",
         type=int,
         default=None,
         metavar="B",
         help="source-block size of the blocked reachability warm "
-        "(default: 1024 lanes; one sweep holds O(n·B/8) bytes)",
+        f"(default: {DEFAULT_REACH_BLOCK} lanes; one sweep holds "
+        "O(n·B/8) bytes)",
     )
     parser.add_argument(
         "--warm-workers",

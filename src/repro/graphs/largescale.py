@@ -36,6 +36,8 @@ backends to consume it unchanged.
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import sys
 from array import array
 from collections.abc import Iterable, Iterator
@@ -604,6 +606,12 @@ def save_compiled(
     counts when the graph has them, so a reloaded graph skips that
     sweep too.  Index arrays are ``int32`` whenever ``n < 2^31``.
 
+    The snapshot is written into a sibling temporary directory and
+    renamed into place only once complete, so a save that fails midway
+    leaves any previous snapshot at ``path`` untouched.  An existing
+    ``path`` must be an empty directory or a previous ``.fpc`` snapshot
+    (which is replaced whole); anything else is refused.
+
     Node identity: identity-interned graphs (``nodes == range(n)``)
     need no node table; int/str node lists persist as ``nodes.json``;
     anything else (tuple-noded derived graphs) is rejected — those
@@ -611,10 +619,16 @@ def save_compiled(
     """
     compiled = graph if isinstance(graph, CompiledGraph) else graph.compiled()
     target = Path(path)
-    target.mkdir(parents=True, exist_ok=True)
+    if target.exists() and not (
+        target.is_dir()
+        and ((target / "meta.json").exists() or not any(target.iterdir()))
+    ):
+        raise ParameterError(
+            f"{target}: exists and is not a .fpc snapshot; refusing to "
+            "replace it"
+        )
     n = compiled.n
     index_code = "i" if n <= _INT32_NODES else "q"
-    index_dtype = "int32" if index_code == "i" else "int64"
 
     nodes_payload = None
     nodes = compiled.nodes
@@ -631,6 +645,54 @@ def save_compiled(
                     )
             nodes_payload = node_list
 
+    target.parent.mkdir(parents=True, exist_ok=True)
+    staging = _sibling(target, "tmp")
+    staging.mkdir()
+    try:
+        _write_snapshot(staging, compiled, index_code, nodes_payload,
+                        include_reach)
+        _swap_into_place(staging, target)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    return target
+
+
+def _sibling(target: Path, tag: str) -> Path:
+    """A fresh hidden path next to ``target`` (same filesystem)."""
+    return target.with_name(f".{target.name}.{os.urandom(8).hex()}.{tag}")
+
+
+def _swap_into_place(staging: Path, target: Path) -> None:
+    """Rename a finished snapshot directory onto ``target``.
+
+    ``os.replace`` renames onto a missing or empty directory in one
+    step.  A previous snapshot is first renamed aside and deleted only
+    once the new one is in place; a crash between those two renames
+    leaves the previous snapshot in the hidden ``.old`` sibling.
+    """
+    try:
+        os.replace(staging, target)
+        return
+    except OSError:
+        if not target.is_dir():
+            raise
+    retired = _sibling(target, "old")
+    os.replace(target, retired)
+    os.replace(staging, target)
+    shutil.rmtree(retired, ignore_errors=True)
+
+
+def _write_snapshot(
+    target: Path,
+    compiled: CompiledGraph,
+    index_code: str,
+    nodes_payload,
+    include_reach: bool,
+) -> None:
+    """Write every table, ``meta.json`` and ``nodes.json`` into ``target``."""
+    n = compiled.n
+    index_dtype = "int32" if index_code == "i" else "int64"
     arrays: dict[str, dict] = {}
 
     def persist(name: str, values, typecode: str) -> None:
@@ -668,7 +730,6 @@ def save_compiled(
     if nodes_payload is not None:
         with open(target / "nodes.json", "w", encoding="utf-8") as handle:
             json.dump(nodes_payload, handle)
-    return target
 
 
 def load_compiled(path: str | Path) -> StreamedGraph:
@@ -760,6 +821,11 @@ def load_compiled(path: str | Path) -> StreamedGraph:
     compiled = graph.compiled()
     if "reach_counts" in loaded:
         counts = loaded["reach_counts"]
+        if len(counts) != n:
+            raise ParameterError(
+                f"{source / 'reach_counts.bin'}: {len(counts)} reach "
+                f"counts for a graph of {n} nodes"
+            )
         # Materialize: the exact sweeps index it per node, and an int
         # list is both faster and honestly charged as resident.
         compiled._reach_counts = [int(c) for c in counts]

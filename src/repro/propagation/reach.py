@@ -20,12 +20,29 @@ count, and reduce order.
 
 Two sweep engines, one contract:
 
-* **NumPy plane** — a ``(B/64, n)`` uint64 plane swept with
-  ``np.bitwise_or.reduceat`` over per-level in-CSR gathers (built once
-  per call, shared by every block).  The fast path whenever NumPy is
-  importable.
+* **NumPy node-major plane** — :func:`_node_major_counts`.  One
+  ``(N + 1, B/64)`` uint64 plane whose rows are the *live* nodes,
+  relabelled level by level, so each level writes one contiguous row
+  slice and each parent gather reads one contiguous ``8·B/64``-byte
+  row.  Before the first block, a reduction pass shrinks the sweep
+  without changing a single count:
+
+  - **contraction** — a non-source node with one in-neighbour ``p``
+    has ``B(v) = B(p)``, so it leaves the plane and copies the count at
+    the end: ``nreach(v) = nreach(p) + [p ∈ sources]``;
+  - **reach-bound pruning** — one ``maximum`` sweep gives ``hi(v)``,
+    the highest source rank reaching ``v``; each level is ordered by
+    descending ``hi``, so the rows block ``[b0, b0+B)`` can touch are
+    a prefix of the level and everything past it is provably zero.
+
+  Each level ORs in its j-th in-neighbours one column at a time (a
+  gather while the column is at least half full, a gather/scatter
+  below that, one ``bitwise_or.reduce`` per hub row past the thin
+  columns), so the work per block is O(edges·B/64) whatever the
+  maximum in-degree.  The fast path whenever NumPy is importable.
 * **Pure python** — :func:`repro.graphs.compiled.blocked_reach_counts`:
-  the same windows as B-bit python ints, dependency-free.
+  the same windows as B-bit python ints, dependency-free, and the
+  reference the NumPy engine is fuzzed against.
 
 Independent blocks also shard over the cached ProcessPoolExecutor from
 :mod:`repro.propagation.parallel`: each worker sweeps one contiguous
@@ -135,7 +152,8 @@ def warm_reach_counts(
 ) -> list:
     """Build (and cache) ``compiled``'s reach counts via the blocked sweep.
 
-    The single entry point both backends' ``warm()`` paths, the NumPy
+    The single entry point both backends' ``warm()`` paths,
+    :meth:`~repro.graphs.compiled.CompiledGraph.reach_counts`, the NumPy
     ``_nreach`` build, and the service GraphStore route through.  Cached
     on the compiled graph — the same slot ``.fpc`` persistence
     (:func:`repro.graphs.largescale.save_compiled` /
@@ -175,15 +193,8 @@ def warm_reach_counts(
         ):
             counts = _sharded_reach_counts(np, compiled, block, workers)
         else:
-            raw = _plane_sweep_counts(
-                np,
-                compiled.n,
-                _as_int64(np, compiled.in_offsets),
-                _as_int64(np, compiled.in_sources),
-                _as_int64(np, compiled.topo_order),
-                list(compiled.level_offsets),
-                _as_int64(np, compiled.source_ids),
-                block,
+            raw = _node_major_counts(
+                np, *_compiled_tables(np, compiled), block
             )
             counts = _subtract_mark(np, raw, compiled).tolist()
     REGISTRY.counter(
@@ -203,6 +214,19 @@ def _as_int64(np, table) -> Any:
     return np.ascontiguousarray(np.asarray(table, dtype=np.int64))
 
 
+def _compiled_tables(np, compiled: "CompiledGraph") -> tuple:
+    """``(n, in_offsets, in_sources, topo, level_offsets, sources)``: the
+    leading arguments of :func:`_node_major_counts`, as int64 arrays."""
+    return (
+        compiled.n,
+        _as_int64(np, compiled.in_offsets),
+        _as_int64(np, compiled.in_sources),
+        _as_int64(np, compiled.topo_order),
+        list(compiled.level_offsets),
+        _as_int64(np, compiled.source_ids),
+    )
+
+
 def _subtract_mark(np, counts, compiled: "CompiledGraph"):
     """Remove each source's own lane bit (``ψ_s(s) = 0`` in a DAG)."""
     if compiled.source_ids:
@@ -210,57 +234,218 @@ def _subtract_mark(np, counts, compiled: "CompiledGraph"):
     return counts
 
 
-def _multi_arange(np, starts, lengths):
-    """Concatenate ``arange(start, start+length)`` runs, vectorized."""
-    keep = lengths > 0
-    starts, lengths = starts[keep], lengths[keep]
-    if starts.size == 0:
-        return np.empty(0, dtype=np.intp)
-    steps = np.ones(int(lengths.sum()), dtype=np.intp)
-    steps[0] = starts[0]
-    run_ends = np.cumsum(lengths)[:-1]
-    steps[run_ends] = starts[1:] - (starts[:-1] + lengths[:-1]) + 1
-    return np.cumsum(steps)
-
-
-def _level_gathers(np, n, in_offsets, in_sources, topo, level_offsets):
-    """Per-level in-CSR gather tables, built once and shared by blocks.
-
-    For each level L ≥ 1: the level's nodes, the concatenated
-    predecessors of those nodes (in-CSR order), and the ``reduceat``
-    segment starts.  Every level-L≥1 node has in-degree ≥ 1 (its depth
-    is a longest path), so segments are non-empty — ``reduceat``-safe —
-    but zero-degree nodes are filtered defensively anyway.
-    """
-    gathers = []
-    for lvl in range(1, len(level_offsets) - 1):
-        nodes = topo[level_offsets[lvl]:level_offsets[lvl + 1]]
-        counts = in_offsets[nodes + 1] - in_offsets[nodes]
-        has = counts > 0
-        if not has.all():
-            nodes, counts = nodes[has], counts[has]
-        if not nodes.size:
-            continue
-        parents = in_sources[_multi_arange(np, in_offsets[nodes], counts)]
-        seg_starts = np.concatenate(
-            ([0], np.cumsum(counts)[:-1])
-        ).astype(np.intp)
-        gathers.append((nodes.astype(np.intp), parents.astype(np.intp),
-                        seg_starts))
-    return gathers
-
-
-def _popcount_columns(np, packed):
-    """Per-column popcount totals of a ``(lanes, n)`` uint64 plane."""
+def _popcount_rows(np, rows):
+    """Per-row popcount totals of a ``(rows, words)`` uint64 slice."""
     if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-        return np.bitwise_count(packed).sum(axis=0, dtype=np.int64)
-    bits = np.unpackbits(packed.view(np.uint8), axis=1)
-    return bits.reshape(packed.shape[0], -1, 64).sum(
-        axis=(0, 2), dtype=np.int64
-    )
+        return np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+    bits = np.unpackbits(rows.view(np.uint8), axis=1)
+    return bits.sum(axis=1, dtype=np.int64)
 
 
-def _plane_sweep_counts(
+#: A level's j-th in-neighbour column is ORed in as one vectorized
+#: gather/scatter only while at least this many of its rows have a j-th
+#: in-neighbour; the few rows left past that column (hubs) each fold
+#: their remaining in-neighbours with one ``bitwise_or.reduce``.  Per
+#: level that is about ``edges/_MIN_COLUMN + _MIN_COLUMN`` numpy calls,
+#: so a single hub can neither pad the level nor multiply the calls.
+_MIN_COLUMN = 16
+
+
+class _Level:
+    """One level's rows ``[start, stop)`` and its in-neighbour columns.
+
+    ``dense`` holds one parent-row array per column, padded over the
+    whole level with the zero row; a column is dense only while at
+    least half the level has a j-th in-neighbour, so padding at most
+    doubles its work.  ``sparse`` columns are ``(targets, parents)``
+    pairs in ascending target row; ``hubs`` are ``(row, parents)``.
+    """
+
+    __slots__ = ("start", "stop", "dense", "sparse", "hubs")
+
+    def __init__(self, start: int, stop: int) -> None:
+        self.start = start
+        self.stop = stop
+        self.dense: list[Any] = []
+        self.sparse: list[tuple[Any, Any]] = []
+        self.hubs: list[tuple[int, Any]] = []
+
+
+class _SweepLayout:
+    """The reduced, relabelled graph every source block sweeps.
+
+    Built once per call (O(m log m)), shared by every block:
+
+    * ``hi[v]`` — the highest source rank that reaches ``v`` (its own
+      rank for a source; -1 when no source does), by one level-ordered
+      ``maximum`` sweep.  Block ``[b0, b0+B)`` can only set bits in
+      nodes with ``hi ≥ b0``.
+    * **Contraction** — a non-source node with a single in-neighbour
+      ``p`` carries exactly ``p``'s lanes, so it leaves the sweep and
+      copies the raw popcount of ``rep[v]`` (the first non-contracted
+      ancestor up its in-degree-1 chain) at the end.  Sources keep
+      their rows: their own bit must survive.
+    * **Rows** — the live nodes (non-contracted, ``hi ≥ 0``) relabelled
+      level by level and, inside a level, by descending ``hi``: each
+      level is one contiguous row slice and the rows a block can touch
+      are a prefix of it.  Row ``live`` (one past the last) stays zero;
+      edges from nodes no source reaches are dropped.
+    """
+
+    def __init__(self, np, n, in_offsets, in_sources, topo, level_offsets,
+                 sources):
+        intp = np.intp
+        num_sources = int(sources.size)
+        num_levels = len(level_offsets) - 1
+        indeg = np.diff(in_offsets).astype(intp, copy=False)
+        dst = np.repeat(np.arange(n, dtype=intp), indeg)
+        par = in_sources.astype(intp, copy=False)
+        level = np.empty(n, dtype=intp)
+        level[topo.astype(intp, copy=False)] = np.repeat(
+            np.arange(num_levels, dtype=intp), np.diff(level_offsets)
+        )
+        rank = np.full(n, -1, dtype=np.int64)
+        rank[sources.astype(intp, copy=False)] = np.arange(
+            num_sources, dtype=np.int64
+        )
+
+        # hi: one maximum sweep over the edges, grouped by target level.
+        hi = rank.copy()
+        by_level = np.argsort(level[dst], kind="stable")
+        bounds = np.searchsorted(
+            level[dst][by_level], np.arange(num_levels + 1)
+        ).tolist()
+        for lvl in range(1, num_levels):
+            sel = by_level[bounds[lvl]:bounds[lvl + 1]]
+            if sel.size:
+                np.maximum.at(hi, dst[sel], hi[par[sel]])
+
+        # Contraction: pointer-jump every in-degree-1 chain to its head.
+        rep = np.arange(n, dtype=intp)
+        contracted = (indeg == 1) & (rank < 0)
+        rep[contracted] = par[in_offsets[:-1][contracted]]
+        while True:
+            jumped = rep[rep]
+            if np.array_equal(jumped, rep):
+                break
+            rep = jumped
+        self.contracted = np.flatnonzero(contracted)
+        self.rep = rep[self.contracted]
+
+        # Rows: live nodes by (level, descending hi).
+        live_nodes = np.flatnonzero(~contracted & (hi >= 0))
+        live_nodes = live_nodes[
+            np.lexsort((-hi[live_nodes], level[live_nodes]))
+        ]
+        live = int(live_nodes.size)
+        row = np.full(n, -1, dtype=intp)
+        row[live_nodes] = np.arange(live, dtype=intp)
+        row_level = level[live_nodes]
+        self.live = live
+        self.live_nodes = live_nodes
+        # Level-major key, ascending: row r of level L is reached by
+        # block b0 iff key[r] ≤ L·S + (S-1-b0), i.e. hi[r] ≥ b0.
+        self.row_key = row_level.astype(np.int64) * num_sources + (
+            num_sources - 1 - hi[live_nodes]
+        )
+        self.num_sources = num_sources
+        self.level_base = np.arange(num_levels, dtype=np.int64) * num_sources
+        starts = np.searchsorted(row_level, np.arange(num_levels + 1))
+        self.levels = {
+            lvl: _Level(int(starts[lvl]), int(starts[lvl + 1]))
+            for lvl in range(num_levels)
+            if starts[lvl + 1] > starts[lvl]
+        }
+
+        # Edges between live rows, redirected through contracted chains
+        # and deduplicated (OR is idempotent), sorted by (target, parent).
+        keep = row[dst] >= 0
+        tgt = row[dst[keep]]
+        src = row[rep[par[keep]]]
+        keep = src >= 0
+        pair = np.sort(tgt[keep].astype(np.int64) * (live + 1) + src[keep])
+        if pair.size:
+            pair = pair[np.concatenate(([True], pair[1:] != pair[:-1]))]
+        tgt = (pair // (live + 1)).astype(intp, copy=False)
+        src = (pair % (live + 1)).astype(intp, copy=False)
+        deg = np.bincount(tgt, minlength=live)
+        col = np.arange(tgt.size, dtype=intp) - (np.cumsum(deg) - deg)[tgt]
+
+        # Group by (level, column); a stable sort keeps the target rows
+        # ascending inside a group.
+        columns = int(deg.max(initial=0)) + 1
+        group = row_level[tgt].astype(np.int64) * columns + col
+        order = np.argsort(group, kind="stable")
+        tgt, src, col = tgt[order], src[order], col[order]
+        tgt_level = row_level[tgt]
+        cut = (np.flatnonzero(
+            (tgt_level[1:] != tgt_level[:-1]) | (col[1:] != col[:-1])
+        ) + 1).tolist()
+        hub_levels: set[int] = set()
+        hub_edges: list[Any] = []
+        for a, b in zip([0] + cut, cut + [int(tgt.size)]):
+            if a == b:
+                continue  # no edges at all
+            index = int(tgt_level[a])
+            if index in hub_levels:
+                continue  # folded with the level's first thin column
+            lvl = self.levels[index]
+            width = lvl.stop - lvl.start
+            first = not (lvl.dense or lvl.sparse)
+            if (
+                not lvl.sparse
+                and 2 * (b - a) >= width
+                and (first or b - a >= _MIN_COLUMN)
+            ):
+                padded = np.full(width, live, dtype=intp)
+                padded[tgt[a:b] - lvl.start] = src[a:b]
+                lvl.dense.append(padded)
+            elif b - a >= _MIN_COLUMN:
+                lvl.sparse.append((tgt[a:b], src[a:b]))
+            else:
+                # The level's first thin column: every remaining
+                # in-neighbour folds into its row one row at a time.
+                hub_levels.add(index)
+                z = int(np.searchsorted(tgt_level, index, "right"))
+                hub_edges.append(np.arange(a, z))
+        if hub_edges:
+            pick = np.concatenate(hub_edges)
+            h_order = np.argsort(tgt[pick], kind="stable")
+            h_tgt, h_src = tgt[pick][h_order], src[pick][h_order]
+            bounds = np.flatnonzero(h_tgt[1:] != h_tgt[:-1]) + 1
+            starts = [0] + bounds.tolist()
+            for a, b in zip(starts, starts[1:] + [int(h_tgt.size)]):
+                r = int(h_tgt[a])
+                self.levels[int(row_level[r])].hubs.append((r, h_src[a:b]))
+
+        # Sources by rank: their rows and levels.
+        self.source_rows = row[sources.astype(intp, copy=False)]
+        self.source_levels = row_level[self.source_rows]
+
+    def level_ends(self, np, b0: int) -> list[int]:
+        """Per level: one past the last row block ``b0`` can touch."""
+        return np.searchsorted(
+            self.row_key, self.level_base + (self.num_sources - 1 - b0),
+            side="right",
+        ).tolist()
+
+
+def _own_bits(np, lay: _SweepLayout, b0: int, b1: int) -> dict:
+    """Block ``[b0, b1)``'s own lane bits as (rows, words, bits) per level."""
+    lane = np.arange(b1 - b0, dtype=np.uint64)
+    words = (lane >> np.uint64(6)).astype(np.intp)
+    bits = np.uint64(1) << (lane & np.uint64(63))
+    rows = lay.source_rows[b0:b1]
+    levels = lay.source_levels[b0:b1]
+    order = np.argsort(levels, kind="stable")
+    cut = np.flatnonzero(np.diff(levels[order]) != 0) + 1
+    return {
+        int(levels[part[0]]): (rows[part], words[part], bits[part])
+        for part in np.split(order, cut)
+    }
+
+
+def _node_major_counts(
     np,
     n: int,
     in_offsets,
@@ -272,33 +457,63 @@ def _plane_sweep_counts(
 ):
     """Raw blocked popcount sums (source mark **not** subtracted).
 
-    The engine both the serial path and the shard workers run: one
-    ``(lanes, n)`` uint64 plane per source block, swept level by level
-    with ``bitwise_or.reduceat`` over the shared in-CSR gathers, then
-    popcounted into the int64 accumulator and dropped.
+    The engine both the serial path and the shard workers run.  One
+    ``(live + 1, B/64)`` uint64 node-major plane is reused by every
+    source block of B lanes.  Level by level, each level's rows (one
+    contiguous slice) are refilled from their first in-neighbour's rows,
+    ORed with the j-th in-neighbour column by column, given their own
+    lane bits, and popcounted into a per-row accumulator.  Block
+    ``[b0, b0+B)`` only sweeps each level's ``hi ≥ b0`` prefix; rows
+    that leave a prefix are zeroed once, so every row outside the
+    prefixes reads as zero.
     """
     counts = np.zeros(n, dtype=np.int64)
     num_sources = int(sources.size)
     if not num_sources or not n:
         return counts
-    gathers = _level_gathers(
-        np, n, in_offsets, in_sources, topo, level_offsets
+    lay = _SweepLayout(
+        np, n, in_offsets, in_sources, topo, level_offsets, sources
     )
-    src = sources.astype(np.intp)
-    for start in range(0, num_sources, block):
-        chunk = src[start:start + block]
-        width = int(chunk.size)
-        lanes = (width + 63) // 64
-        plane = np.zeros((lanes, n), dtype=np.uint64)
-        rows = np.arange(width, dtype=np.uint64)
-        plane[(rows >> np.uint64(6)).astype(np.intp), chunk] = (
-            np.uint64(1) << (rows & np.uint64(63))
-        )
-        for nodes, parents, seg_starts in gathers:
-            plane[:, nodes] |= np.bitwise_or.reduceat(
-                plane[:, parents], seg_starts, axis=1
-            )
-        counts += _popcount_columns(np, plane)
+    words = (min(block, num_sources) + 63) // 64
+    plane = np.zeros((lay.live + 1, words), dtype=np.uint64)
+    row_counts = np.zeros(lay.live, dtype=np.int64)
+    widest = max(lvl.stop - lvl.start for lvl in lay.levels.values())
+    buf = np.empty((widest, words), dtype=np.uint64)
+    prev_ends = lay.level_ends(np, 0)  # every live row: hi ≥ 0
+    for b0 in range(0, num_sources, block):
+        ends = lay.level_ends(np, b0)
+        own = _own_bits(np, lay, b0, min(b0 + block, num_sources))
+        for index, lvl in lay.levels.items():
+            a, e = lvl.start, ends[index]
+            if prev_ends[index] > e:
+                plane[e:prev_ends[index]] = 0
+            if e == a:
+                continue
+            k = e - a
+            rows = plane[a:e]
+            if lvl.dense:
+                gathered = buf[:k]
+                np.take(plane, lvl.dense[0][:k], 0, gathered, "clip")
+                rows[...] = gathered
+                for parents in lvl.dense[1:]:
+                    np.take(plane, parents[:k], 0, gathered, "clip")
+                    rows |= gathered
+            else:
+                rows[...] = 0
+            for targets, parents in lvl.sparse:
+                stop = int(np.searchsorted(targets, e))
+                if stop:
+                    plane[targets[:stop]] |= plane[parents[:stop]]
+            for r, parents in lvl.hubs:
+                if r < e:
+                    plane[r] |= np.bitwise_or.reduce(plane[parents], axis=0)
+            if index in own:
+                src_rows, src_words, src_bits = own[index]
+                plane[src_rows, src_words] |= src_bits
+            row_counts[a:e] += _popcount_rows(np, rows)
+        prev_ends = ends
+    counts[lay.live_nodes] = row_counts
+    counts[lay.contracted] = counts[lay.rep]
     return counts
 
 
@@ -324,7 +539,7 @@ def _reach_shard_worker(payload: tuple) -> bytes:
     in_sources = np.frombuffer(in_src_b, dtype=np.int64)
     topo = np.frombuffer(topo_b, dtype=np.int64)
     sources = np.frombuffer(src_b, dtype=np.int64)[lo:hi]
-    counts = _plane_sweep_counts(
+    counts = _node_major_counts(
         np, n, in_offsets, in_sources, topo, level_offsets, sources, block
     )
     return counts.tobytes()
@@ -346,14 +561,15 @@ def _sharded_reach_counts(
         shard_ranges,
     )
 
-    n = compiled.n
-    src = _as_int64(np, compiled.source_ids)
+    n, in_offsets, in_sources, topo, level_offsets, src = (
+        _compiled_tables(np, compiled)
+    )
     tables = (
         n,
-        _as_int64(np, compiled.in_offsets).tobytes(),
-        _as_int64(np, compiled.in_sources).tobytes(),
-        _as_int64(np, compiled.topo_order).tobytes(),
-        list(compiled.level_offsets),
+        in_offsets.tobytes(),
+        in_sources.tobytes(),
+        topo.tobytes(),
+        level_offsets,
         src.tobytes(),
     )
     ranges = shard_ranges(len(compiled.source_ids), workers)

@@ -136,3 +136,105 @@ def standard_cases(base_seed: int = 20260808) -> tuple[DagCase, ...]:
             )
             idx += 1
     return tuple(cases)
+
+
+@dataclass(frozen=True)
+class ReachCase:
+    """A many-source reach-warm case: a layered DAG with adversarial shapes.
+
+    The standard corpus keeps at most 4 sources, all of them roots, so
+    every warm block fits one 64-bit word.  These cases carry enough
+    sources for multi-word rows and block boundaries, and the shapes the
+    NumPy warm's reduction pass and column sweep branch on:
+
+    * root sources spread over every layer (not only the first), so
+      source ranks interleave with depth and late blocks prune early
+      layers;
+    * wide layers whose nodes draw 1–5 parents, mostly from the layer
+      above — dense, sparse and thin in-neighbour columns;
+    * an in-degree-1 source, and a source whose only parent is a source;
+    * an in-degree-1 chain from an interior node through a source down
+      to a sink;
+    * a hub whose in-degree far exceeds its level's width;
+    * isolated sources, touched by no edge.
+    """
+
+    name: str
+    seed: int
+    sources: int
+    width: int
+    layers: int
+
+    #: Sources the special shapes declare (in-degree-1, parent-is-a-
+    #: source, mid-chain, and two isolated ones).
+    SPECIAL_SOURCES = 5
+
+    def build(self) -> CGraph:
+        rng = random.Random(self.seed)
+        edges: set[tuple[int, int]] = set()
+        sources: list[int] = []
+        nodes: list[int] = []
+
+        def fresh(*parents: int) -> int:
+            v = len(nodes)
+            nodes.append(v)
+            edges.update((p, v) for p in parents)
+            return v
+
+        roots_left = self.sources - self.SPECIAL_SOURCES
+        slots_left = self.width * self.layers
+        earlier: list[int] = []
+        prev: list[int] = []
+        for _ in range(self.layers):
+            layer = []
+            for _ in range(self.width):
+                if roots_left and (
+                    not prev or rng.random() < roots_left / slots_left
+                ):
+                    v = fresh()
+                    sources.append(v)
+                    roots_left -= 1
+                else:
+                    pool = prev if rng.random() < 0.85 else earlier
+                    degree = min(rng.choice((1, 1, 2, 3, 4, 5)), len(pool))
+                    v = fresh(*rng.sample(pool, degree))
+                layer.append(v)
+                slots_left -= 1
+            earlier += layer
+            prev = layer
+        while roots_left:  # (only when the layers ran out of slots)
+            sources.append(fresh())
+            roots_left -= 1
+        middle = earlier[len(earlier) // 2:len(earlier) // 2 + self.width]
+        # An in-degree-1 source, and a source whose only parent is one.
+        sources.append(fresh(rng.choice(prev)))
+        sources.append(fresh(rng.choice(sources[:-1])))
+        # An in-degree-1 chain through a source, ending at a sink.
+        link = fresh(rng.choice(middle))
+        link = fresh(link)
+        sources.append(link)
+        for _ in range(3):
+            link = fresh(link)
+        # A hub far wider than its level.
+        fresh(*rng.sample(earlier, min(len(earlier), 3 * self.width)))
+        sources.extend((fresh(), fresh()))  # isolated sources
+        return CGraph(sorted(edges), nodes=nodes, sources=sources)
+
+
+def reach_cases(base_seed: int = 20261017) -> tuple[ReachCase, ...]:
+    """The many-source reach corpus: S ∈ {65, 130, 300}, two shapes each."""
+    cases = []
+    for idx, (sources, width, layers) in enumerate(
+        ((65, 24, 6), (65, 60, 4), (130, 40, 8), (130, 90, 5),
+         (300, 70, 9), (300, 120, 6))
+    ):
+        cases.append(
+            ReachCase(
+                name=f"s{sources}-w{width}-l{layers}",
+                seed=base_seed + idx,
+                sources=sources,
+                width=width,
+                layers=layers,
+            )
+        )
+    return tuple(cases)

@@ -28,13 +28,14 @@ from __future__ import annotations
 import pytest
 
 import oracle_dictpath as oracle
-from strategies import DagCase, standard_cases
+from strategies import DagCase, reach_cases, standard_cases
 from repro.backends.registry import available_backends, build_backend
 from repro.core.registry import STRATEGY_NAMES, get_algorithm
 from repro.propagation.model import PropagationModel
 from repro.propagation.reach import warm_reach_counts
 
 CASES = standard_cases()
+REACH_CASES = reach_cases()
 K = 4
 TRIALS = 6  # below the pool threshold: the fuzz corpus stays in-process
 
@@ -237,7 +238,8 @@ def _oracle_reach_counts(graph) -> list[int]:
 
 
 def _numpy_plane_counts(compiled, block: int) -> "list[int] | None":
-    """The NumPy plane engine's counts at ``block`` (None without NumPy).
+    """The NumPy node-major engine's counts at ``block`` (None without
+    NumPy).
 
     Drives the raw sweep, not :func:`warm_reach_counts` — the public
     entry caches on first call, which would collapse the block axis of
@@ -247,21 +249,12 @@ def _numpy_plane_counts(compiled, block: int) -> "list[int] | None":
     if np is None:
         return None
     from repro.propagation.reach import (
-        _as_int64,
-        _plane_sweep_counts,
+        _compiled_tables,
+        _node_major_counts,
         _subtract_mark,
     )
 
-    raw = _plane_sweep_counts(
-        np,
-        compiled.n,
-        _as_int64(np, compiled.in_offsets),
-        _as_int64(np, compiled.in_sources),
-        _as_int64(np, compiled.topo_order),
-        list(compiled.level_offsets),
-        _as_int64(np, compiled.source_ids),
-        block,
-    )
+    raw = _node_major_counts(np, *_compiled_tables(np, compiled), block)
     return _subtract_mark(np, raw, compiled).tolist()
 
 
@@ -300,6 +293,93 @@ def test_sharded_reach_counts_bit_identical_across_workers(workers):
         assert sharded == packed_reach_counts(compiled), (
             f"{case.name}: sharded counts diverged at {workers} workers"
         )
+
+
+_reach_graphs: dict[str, object] = {}
+
+
+def reach_case_graph(case):
+    if case.name not in _reach_graphs:
+        _reach_graphs[case.name] = case.build()
+    return _reach_graphs[case.name]
+
+
+def test_reach_corpus_has_the_adversarial_shapes():
+    """Every many-source case carries the shapes it exists to fuzz."""
+    assert sorted({c.sources for c in REACH_CASES}) == [65, 130, 300]
+    for case in REACH_CASES:
+        graph = reach_case_graph(case)
+        sources = graph.sources
+        assert len(sources) == case.sources
+        indeg = {v: graph.in_degree(v) for v in graph.nodes()}
+        one_parent_sources = [s for s in sources if indeg[s] == 1]
+        assert one_parent_sources, case.name
+        assert any(
+            graph.predecessors(s)[0] in sources for s in one_parent_sources
+        ), case.name
+        # A source inside an in-degree-1 chain that ends at a sink.
+        assert any(
+            indeg[s] == 1
+            and indeg[graph.predecessors(s)[0]] == 1
+            and graph.predecessors(s)[0] not in sources
+            and _chain_ends_at_sink(graph, s, indeg)
+            for s in sources
+        ), case.name
+        assert sum(
+            1 for s in sources
+            if indeg[s] == 0 and graph.out_degree(s) == 0
+        ) >= 2, case.name
+        # A hub whose in-degree far exceeds its level's width.
+        compiled = graph.compiled()
+        offsets = compiled.level_offsets
+        width = [b - a for a, b in zip(offsets, offsets[1:])]
+        assert any(
+            indeg[v] > 4 * width[compiled.depth[compiled.index[v]]]
+            for v in graph.nodes()
+        ), case.name
+
+
+def _chain_ends_at_sink(graph, node, indeg) -> bool:
+    while graph.out_degree(node):
+        children = graph.successors(node)
+        if len(children) != 1 or indeg[children[0]] != 1:
+            return False
+        node = children[0]
+    return True
+
+
+@pytest.mark.parametrize("case", REACH_CASES, ids=lambda c: c.name)
+@pytest.mark.parametrize("block", REACH_BLOCKS)
+def test_many_source_reach_counts_match_oracle_across_blocks(case, block):
+    from repro.graphs.compiled import blocked_reach_counts
+
+    graph = reach_case_graph(case)
+    compiled = graph.compiled()
+    expected = _oracle_reach_counts(graph)
+    assert blocked_reach_counts(compiled, block) == expected
+    plane = _numpy_plane_counts(compiled, block)
+    if plane is not None:
+        assert plane == expected
+
+
+@pytest.mark.parametrize("workers", REACH_WORKERS)
+def test_many_source_sharded_counts_match_oracle(workers):
+    np = _numpy_or_none()
+    if np is None:
+        pytest.skip("sharding is the NumPy engine's axis")
+    from repro.propagation.reach import _sharded_reach_counts
+
+    for case in REACH_CASES:
+        graph = reach_case_graph(case)
+        expected = _oracle_reach_counts(graph)
+        for block in (64, 65):
+            sharded = _sharded_reach_counts(
+                np, graph.compiled(), block, workers
+            )
+            assert sharded == expected, (
+                f"{case.name}: sharded counts diverged at {workers} "
+                f"workers, block {block}"
+            )
 
 
 def test_warm_reach_counts_caches_and_matches_backends():

@@ -353,3 +353,56 @@ def test_fpc_rejects_truncated_tables(tmp_path):
     table.write_bytes(table.read_bytes()[:-4])
     with pytest.raises(ParameterError, match="bytes"):
         load_compiled(target)
+
+
+def test_fpc_failed_save_keeps_previous_snapshot(tmp_path, monkeypatch):
+    from repro.graphs import largescale
+
+    previous, target = fpc_fixture(tmp_path)
+    other = scale_dag(0.002, seed=1)
+    other.compiled().reach_counts()
+    real_write = largescale._write_array
+    calls = []
+
+    def failing_write(path, values, typecode):
+        if calls:
+            raise OSError("disk full")
+        calls.append(path)
+        return real_write(path, values, typecode)
+
+    monkeypatch.setattr(largescale, "_write_array", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_compiled(other, target)
+    monkeypatch.undo()
+
+    assert len(calls) == 1  # the failure came after one table landed
+    loaded = load_compiled(target)
+    assert tables_of(loaded) == tables_of(previous)
+    assert (loaded.compiled().reach_counts()
+            == previous.compiled().reach_counts())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.fpc"]
+    # A complete save then replaces the snapshot whole.
+    save_compiled(other, target)
+    assert tables_of(load_compiled(target)) == tables_of(other)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.fpc"]
+
+
+def test_fpc_save_refuses_a_foreign_directory(tmp_path):
+    graph = scale_dag(0.001, seed=0)
+    (tmp_path / "keep.txt").write_text("not a snapshot")
+    with pytest.raises(ParameterError, match="not a .fpc"):
+        save_compiled(graph, tmp_path)
+    assert (tmp_path / "keep.txt").read_text() == "not a snapshot"
+
+
+def test_fpc_rejects_reach_counts_of_the_wrong_length(tmp_path):
+    graph, target = fpc_fixture(tmp_path)
+    n = graph.compiled().n
+    table = target / "reach_counts.bin"
+    table.write_bytes(table.read_bytes()[:-8])
+    meta_path = target / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["arrays"]["reach_counts"]["len"] = n - 1
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ParameterError, match="reach counts"):
+        load_compiled(target)
