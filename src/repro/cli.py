@@ -773,6 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=_cmd_bench)
 
     from repro.service.jobs import POOL_KINDS
+    from repro.service.store import DEFAULT_MAX_GRAPHS
 
     serve = sub.add_parser(
         "serve", help="run the placement service (HTTP JSON API)"
@@ -816,8 +817,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-graphs",
         type=int,
-        default=None,
-        help="LRU bound on resident graphs (default: unbounded)",
+        default=DEFAULT_MAX_GRAPHS,
+        help=f"LRU bound on resident graphs (default: {DEFAULT_MAX_GRAPHS})",
     )
     serve.add_argument(
         "--preload",

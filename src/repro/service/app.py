@@ -53,7 +53,11 @@ from repro.service.serialize import (
     placement_payload,
     stats_payload,
 )
-from repro.service.store import GraphStore, build_graph_from_spec
+from repro.service.store import (
+    DEFAULT_MAX_GRAPHS,
+    GraphStore,
+    build_graph_from_spec,
+)
 
 Node = Hashable
 
@@ -224,7 +228,7 @@ class ServiceApp:
         pool: str = "thread",
         cache_entries: int = 1024,
         cache_bytes: int = 32 * 1024 * 1024,
-        max_graphs: int | None = None,
+        max_graphs: int | None = DEFAULT_MAX_GRAPHS,
         warm_backends: bool = True,
         wait_timeout: float = DEFAULT_WAIT_TIMEOUT,
         world_workers: int = 1,

@@ -39,6 +39,12 @@ Node = Hashable
 #: Shortest digest prefix accepted by :meth:`GraphStore.get`.
 MIN_DIGEST_PREFIX = 8
 
+#: Default LRU bound on resident graphs (``GraphStore``, ``ServiceApp``
+#: and ``serve --max-graphs``).  A resident 400-node upload costs ~0.4 MB,
+#: so an unbounded store grows with the upload rate; pass ``None`` for
+#: an unbounded store.
+DEFAULT_MAX_GRAPHS = 32
+
 logger = logging.getLogger("repro.service")
 
 
@@ -225,7 +231,9 @@ class GraphStore:
     Parameters
     ----------
     max_graphs:
-        Optional LRU bound on resident graphs (None = unbounded).  The
+        LRU bound on resident graphs (default
+        :data:`DEFAULT_MAX_GRAPHS`; None = unbounded).  Every lookup
+        refreshes a graph's LRU position, so hot graphs stay.  The
         placement cache keys by digest, so evicting a graph never serves a
         wrong answer — a re-registration restores the same digest and the
         cached placements still apply.
@@ -256,7 +264,7 @@ class GraphStore:
     def __init__(
         self,
         *,
-        max_graphs: int | None = None,
+        max_graphs: int | None = DEFAULT_MAX_GRAPHS,
         warm_backends: bool = True,
         persist_dir: "str | Path | None" = None,
     ) -> None:
@@ -421,13 +429,19 @@ class GraphStore:
         self.persisted += 1
 
     def _restore_persisted(self) -> None:
-        """Memory-map every ``<digest>.fpc`` snapshot back in at startup.
+        """Memory-map the newest ``<digest>.fpc`` snapshots back in at startup.
 
         Restored entries reuse the digest recorded at persist time (the
         snapshots are content-addressed by this store, so recomputing it
         would only re-walk tables we already trust) and come back with
         their reach counts materialized from the ``.fpc`` reach table —
         the restart pays neither the compile nor the warm sweep.
+
+        The boot honours ``max_graphs``: only the newest ``max_graphs``
+        snapshots by ``store.json`` mtime are loaded, and the rest stay
+        on disk untouched (a later registration of the same graph finds
+        its snapshot already written).  Entries land in the LRU oldest
+        first, so the newest is the last to be evicted.
 
         One unreadable snapshot (bad JSON, a truncated table) must not
         keep the store from booting: it is quarantined by
@@ -436,10 +450,14 @@ class GraphStore:
         from repro.graphs.largescale import load_compiled
 
         self._persist_dir.mkdir(parents=True, exist_ok=True)
-        for target in sorted(self._persist_dir.glob("*.fpc")):
-            marker = target / "store.json"
-            if not marker.is_file():
-                continue
+        markers = sorted(
+            self._persist_dir.glob("*.fpc/store.json"),
+            key=lambda marker: (marker.stat().st_mtime, marker.parent.name),
+            reverse=True,
+        )
+        restored: list[GraphEntry] = []
+        for marker in markers[: self._max_graphs]:
+            target = marker.parent
             try:
                 with open(marker, "r", encoding="utf-8") as handle:
                     info = json.load(handle)
@@ -448,15 +466,18 @@ class GraphStore:
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 self._quarantine(target, exc)
                 continue
-            entry = GraphEntry(
-                digest,
-                graph,
-                str(info.get("name", target.stem)),
-                {"kind": "fpc", "path": str(target)},
+            restored.append(
+                GraphEntry(
+                    digest,
+                    graph,
+                    str(info.get("name", target.stem)),
+                    {"kind": "fpc", "path": str(target)},
+                )
             )
-            with self._lock:
-                self._entries[digest] = entry
-            self.restored += 1
+        with self._lock:
+            for entry in reversed(restored):
+                self._entries[entry.digest] = entry
+            self.restored += len(restored)
 
     def _quarantine(self, target: Path, exc: Exception) -> None:
         """Rename a snapshot that failed to load to ``<name>.corrupt``.

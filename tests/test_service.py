@@ -8,10 +8,10 @@ import pytest
 
 from repro.exceptions import ParameterError
 from repro.graphs.cgraph import CGraph
-from repro.service.app import ServiceApp
+from repro.service.app import RequestError, ServiceApp
 from repro.service.cache import PlacementCache, PlacementKey
 from repro.service.jobs import JobManager
-from repro.service.store import GraphStore, graph_digest
+from repro.service.store import DEFAULT_MAX_GRAPHS, GraphStore, graph_digest
 
 
 def small_app(**kwargs) -> ServiceApp:
@@ -76,6 +76,63 @@ def test_store_lru_eviction():
     assert set(store.digests()) == {d1, d3}
     with pytest.raises(ParameterError):
         store.get(d2)
+
+
+def upload_text(i: int) -> str:
+    return f"# sources: s\ns a{i}\ns b{i}\na{i} c\nb{i} c\n"
+
+
+def scrape_evictions(app: ServiceApp) -> float:
+    _, exposition = app.handle_metrics()
+    for line in exposition.splitlines():
+        if line.startswith("fp_store_evictions_total "):
+            return float(line.split()[1])
+    raise AssertionError("fp_store_evictions_total missing from /metrics")
+
+
+def test_default_store_bound_keeps_the_hot_graph(app):
+    """A default app bounds residency at DEFAULT_MAX_GRAPHS, evicts the
+    oldest idle uploads, keeps the graph placements touch, and answers
+    an evicted digest with 4xx until it is registered again."""
+    uploads = DEFAULT_MAX_GRAPHS + 5
+
+    def upload(i: int) -> str:
+        status, doc = app.handle_register_graph({"edges": upload_text(i)})
+        assert status == 201 and doc["created"]
+        return doc["digest"]
+
+    hot_body = {"graph": upload(0), "algorithm": "G_All", "k": 1}
+    status, hot = app.handle_placement({**hot_body, "wait": True})
+    assert status == 200
+    first_idle = upload(1)
+    idle_body = {"graph": first_idle, "algorithm": "G_All", "k": 2}
+    status, idle = app.handle_placement({**idle_body, "wait": True})
+    assert status == 200
+    evictions_before = scrape_evictions(app)
+    digests = [hot_body["graph"], first_idle]
+    for i in range(2, uploads):
+        status, doc = app.handle_placement(hot_body)
+        assert status == 200 and doc["result"] == hot["result"]
+        digests.append(upload(i))
+
+    resident = set(app.store.digests())
+    assert hot_body["graph"] in resident
+    assert resident.isdisjoint(digests[1:6])
+    assert resident == {digests[0], *digests[6:]}
+    assert scrape_evictions(app) - evictions_before == 5
+    assert app.handle_healthz()[1]["store"]["graphs"] == DEFAULT_MAX_GRAPHS
+
+    with pytest.raises(RequestError) as err:
+        app.handle_placement(idle_body)
+    assert 400 <= err.value.status < 500
+
+    # The digest is content-addressed, so re-registering restores it and
+    # the placement cached before the eviction is an exact hit again.
+    assert upload(1) == first_idle
+    status, again = app.handle_placement(idle_body)
+    assert status == 200
+    assert again["cache"] == {"hit": True, "kind": "exact"}
+    assert again["result"] == idle["result"]
 
 
 def test_store_register_edges_roundtrip_digest(tmp_path):
@@ -741,6 +798,31 @@ def test_store_boots_past_a_corrupt_snapshot(tmp_path, caplog, damage):
     assert again.stats()["quarantined_snapshots"] == 0
     again.register_dataset("quote")
     assert (snapshot / "meta.json").is_file()
+
+
+def test_store_restore_honours_the_bound(tmp_path):
+    """A persist dir holding more snapshots than ``max_graphs`` boots the
+    newest ones by ``store.json`` mtime and leaves the rest on disk."""
+    import os
+
+    persist = tmp_path / "plans"
+    store = GraphStore(persist_dir=persist, warm_backends=False)
+    digests = [
+        store.register_edges(upload_text(i))[0].digest for i in range(4)
+    ]
+    assert store.persisted == 4
+    # Age the snapshots explicitly: register order, oldest first.
+    for age, digest in enumerate(reversed(digests)):
+        stamp = 1_700_000_000 - 60 * age
+        os.utime(persist / f"{digest}.fpc" / "store.json", (stamp, stamp))
+
+    restored = GraphStore(max_graphs=2, persist_dir=persist)
+    assert restored.restored == 2
+    assert restored.digests() == tuple(digests[2:])
+    assert restored.stats()["quarantined_snapshots"] == 0
+    assert sorted(p.name for p in persist.iterdir()) == sorted(
+        f"{digest}.fpc" for digest in digests
+    )
 
 
 def test_persist_dir_skips_probabilistic_and_cyclic(tmp_path):

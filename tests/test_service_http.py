@@ -132,6 +132,55 @@ def test_http_malformed_content_length(server):
         conn.close()
 
 
+def test_http_keep_alive_responses_do_not_stall(server):
+    """Hits and uploads on one keep-alive connection answer promptly.
+
+    Headers and body leave as two writes; without TCP_NODELAY the body
+    waits for the client's delayed ACK of the headers, ~40 ms per
+    response on Linux.  ``urllib`` opens a fresh connection per request
+    and never sees that stall, so this test reuses one connection.
+    """
+    import http.client
+    import statistics
+    import time
+
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+
+    def post(path, body):
+        conn.request(
+            "POST", path, body=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+
+    try:
+        status, graph = post("/graphs", {"dataset": "quote"})
+        assert status == 201
+        body = {"graph": graph["digest"], "algorithm": "G_All", "k": 4}
+        status, primed = post("/placements", {**body, "wait": True})
+        assert status == 200
+
+        hits = []
+        for _ in range(20):
+            t0 = time.perf_counter()
+            status, hit = post("/placements", body)
+            hits.append(time.perf_counter() - t0)
+            assert status == 200 and hit["cache"]["hit"] is True
+            assert hit["result"] == primed["result"]
+        uploads = []
+        for i in range(3):
+            text = f"# sources: s\ns a{i}\ns b{i}\na{i} c\nb{i} c\n"
+            t0 = time.perf_counter()
+            status, doc = post("/graphs", {"edges": text})
+            uploads.append(time.perf_counter() - t0)
+            assert status == 201 and doc["created"]
+    finally:
+        conn.close()
+    assert statistics.median(hits) < 0.015, hits
+    assert max(uploads) < 0.040, uploads
+
+
 # ----------------------------------------------------------------------
 # API vs CLI equality
 # ----------------------------------------------------------------------
