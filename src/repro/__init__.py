@@ -37,8 +37,6 @@ Package layout
   structure-matched substitutes for the Quote/Twitter/APS datasets.
 * :mod:`repro.analysis` — FR curves, degree CDFs, runtime harness.
 * :mod:`repro.experiments` — one module per paper figure.
-* :mod:`repro.bench` — benchmark scenario matrices, instrumentation,
-  ``BENCH.json`` trajectory files and the regression comparator.
 """
 
 from repro.exceptions import (

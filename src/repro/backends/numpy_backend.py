@@ -239,8 +239,8 @@ class NumpyBackend(SampledEvaluationMixin):
 
         Public for two callers beyond the backend itself: tests inspect
         ``plan.exact_only`` (whether the overflow probe forced this graph
-        onto the exact path), and the bench harness calls it to warm the
-        cache outside its timed region.
+        onto the exact path), and :meth:`warm` calls it to build the
+        cache outside a timed region.
         """
         plan = self._plans.get(graph)
         if plan is None:

@@ -209,7 +209,7 @@ class PythonBackend(SampledEvaluationMixin):
 
         Reachability is the only per-graph preprocessing beyond the
         :class:`~repro.graphs.compiled.CompiledGraph` every other layer shares;
-        warming it here keeps it out of the timed solve regions (bench) and
+        warming it here keeps it out of timed solve regions (Figure 11) and
         request paths (service).  Counts come from the blocked out-of-core
         sweep (:func:`repro.propagation.reach.warm_reach_counts`) — block-size
         resident memory, bit-identical to the monolithic build — and land in

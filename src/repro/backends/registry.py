@@ -3,7 +3,8 @@
 Selection surface, smallest to largest scope:
 
 * explicit argument — ``phi(graph, A, backend="numpy")`` or a backend
-  instance (the bench harness passes a counting wrapper this way);
+  instance (the Figure 11 runtime table passes a counting wrapper this
+  way);
 * :func:`use_backend` — a context manager scoping a default to one block;
 * :func:`set_default_backend` — the process default, which the CLI's
   ``--backend`` flag sets before dispatching a command.
@@ -74,9 +75,8 @@ def build_backend(name: str) -> PropagationBackend:
     """A fresh, private backend instance.
 
     Unlike :func:`get_backend` this never touches the singleton table, so
-    per-backend caches (the NumPy level plans) start empty — how the
-    bench's ``fresh_backend`` cells charge the one-time warm to
-    themselves.
+    per-backend caches (the NumPy level plans) start empty — how a cold
+    measurement charges the one-time warm to itself.
     """
     if name == "auto":
         name = "numpy" if numpy_available() else "python"
@@ -128,7 +128,7 @@ def use_backend(spec: str | PropagationBackend) -> Iterator[PropagationBackend]:
     """Scope the default backend to a ``with`` block, on this thread only.
 
     Yields the resolved instance so callers can also query it directly
-    (the bench harness reads evaluation counters off its wrapper this way).
+    (a caller that scopes a counting wrapper reads its counters this way).
     Scopes nest, and being thread-local they cannot bleed between the
     service's concurrent placement jobs.
     """

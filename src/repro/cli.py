@@ -18,9 +18,6 @@ Subcommands
     the generating spec (dataset, seed, scale) and the structural
     directives that make the file a lossless round-trip — re-registering
     the generated file yields the same content digest.
-``bench``
-    Run a benchmark suite (:mod:`repro.bench`), print the table, write
-    ``BENCH.json``, and optionally compare against a prior run.
 ``serve``
     Boot the placement service (:mod:`repro.service`): a graph store,
     placement cache and worker pool behind a stdlib HTTP JSON API.
@@ -29,10 +26,9 @@ Subcommands
 (``auto``, the default, uses NumPy when available); every backend returns
 identical results.
 
-``--strategy {exact,lazy,sketch}`` (on ``place`` and ``experiment``)
+``--strategy {exact,sketch}`` (on ``place`` and ``experiment``)
 selects the execution strategy: ``exact`` runs the direct
-implementations, ``lazy`` is a deprecated alias of ``exact`` (identical
-results), and ``sketch`` runs sketch-capable algorithms on bottom-k
+implementations and ``sketch`` runs sketch-capable algorithms on bottom-k
 reachability estimates (:mod:`repro.sketches`), the million-node scale
 tier.  ``--sketch-k`` / ``--epsilon`` /
 ``--sketch-seed`` (on ``place``) tune the estimator; ``--streamed``
@@ -40,15 +36,15 @@ builds ``--dataset scale-dag`` through the streaming compiler
 (:mod:`repro.graphs.largescale`) instead of materializing a python
 edge list, which is how ``--scale 10`` (n = 10^6) stays feasible.
 
-``--trace`` / ``--profile PATH`` (on ``place``, ``experiment`` and
-``bench``) record the run's spans via :mod:`repro.obs` and print the
+``--trace`` / ``--profile PATH`` (on ``place`` and ``experiment``)
+record the run's spans via :mod:`repro.obs` and print the
 timing tree / write Chrome ``trace_event`` JSON.  ``serve`` grows
 ``--log-format {text,json}`` for the access log and traces every job so
 ``GET /traces/{job_id}`` serves the solve's span tree (``--no-trace``
 opts out).
 
 ``--model {deterministic,live-edge,per-copy}`` with ``--edge-prob`` and
-``--trials`` (on ``place``, ``experiment`` and ``bench``) selects the
+``--trials`` (on ``place`` and ``experiment``) selects the
 propagation model: ``deterministic`` (the default, and anything with
 edge probability 1) takes the exact integer fast path unchanged, while
 the probabilistic models score every model-aware evaluation as a seeded
@@ -70,9 +66,6 @@ Examples
     filter-placement stats --dataset citation --scale 0.1 --json
     filter-placement experiment fig7 --fast
     filter-placement generate --dataset twitter --scale 0.05 --seed 7 -o t.txt
-    filter-placement bench --suite toy --out BENCH.json
-    filter-placement bench --suite probabilistic --out BENCH.prob.json
-    filter-placement bench --suite default --compare BENCH.prior.json
     filter-placement serve --port 8080 --workers 8
 """
 
@@ -81,7 +74,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from collections.abc import Sequence
 
@@ -151,8 +143,8 @@ def _add_strategy_argument(parser: argparse.ArgumentParser) -> None:
         choices=STRATEGY_NAMES,
         default="exact",
         help="execution strategy: exact = direct implementations, "
-        "lazy = deprecated alias of exact, sketch = CELF on bottom-k "
-        "reachability estimates (the scale tier; default: exact)",
+        "sketch = CELF on bottom-k reachability estimates "
+        "(the scale tier; default: exact)",
     )
 
 
@@ -532,142 +524,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         return runner_main(forwarded)
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.compare import compare_documents, format_comparison
-    from repro.bench.harness import render_records, run_suite
-    from repro.bench.results import (
-        build_document,
-        load_bench_json,
-        write_document,
-    )
-    from repro.bench.scenarios import get_suite
-
-    if args.fail_on_regression is not None:
-        if args.compare is None:
-            print(
-                "error: --fail-on-regression requires --compare "
-                "(there is no prior to regress against)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.fail_on_regression <= 1.0:
-            print(
-                "error: --fail-on-regression must exceed 1.0 "
-                "(it is a current/prior slowdown ratio)",
-                file=sys.stderr,
-            )
-            return 2
-    # Fail fast on an unwritable --out before spending minutes on the
-    # suite; the write itself is still guarded below for late failures.
-    out_parent = os.path.dirname(os.path.abspath(args.out))
-    if not os.path.isdir(out_parent):
-        print(
-            f"error: output directory {out_parent!r} does not exist",
-            file=sys.stderr,
-        )
-        return 2
-    # Load the prior before writing --out: the two may be the same path
-    # (the committed BENCH.json trajectory file is compared in place).
-    prior = None
-    if args.compare is not None:
-        try:
-            prior = load_bench_json(args.compare)
-        except (OSError, ValueError) as exc:
-            print(
-                f"error: cannot load prior bench file {args.compare!r}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-    scenarios = get_suite(args.suite, backends=args.backends, seed=args.seed)
-    if args.model != "deterministic":
-        from repro.bench.scenarios import apply_model
-
-        scenarios = apply_model(
-            scenarios,
-            model=args.model,
-            edge_prob=args.edge_prob,
-            trials=args.trials,
-        )
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
-    # --workers scopes an ambient world-shard pool over the whole run;
-    # cells that pin their own worker count (the parallel suite) rebind
-    # the scope per-cell inside the harness and therefore win.
-    from repro.propagation.parallel import use_world_workers
-
-    with _warm_scoped(args), _observed(args), use_world_workers(args.workers):
-        records = run_suite(
-            scenarios,
-            repeats=args.repeats,
-            progress=None if args.quiet else print,
-        )
-    print()
-    print(render_records(records))
-    doc = build_document(
-        records,
-        meta={
-            "suite": args.suite,
-            "repeats": args.repeats,
-            "seed": args.seed,
-            "workers": args.workers,
-        },
-    )
-    report = None
-    if prior is not None:
-        report = compare_documents(
-            prior, doc, regression_ratio=args.fail_on_regression or 1.5
-        )
-    # A failing gate must not clobber the baseline it just compared
-    # against (an immediate re-run would self-compare and pass): park the
-    # regressed results next to it instead.  Beyond regressions/drift,
-    # the gate also rejects runs it cannot meaningfully compare: zero
-    # overlapping cells (stale baseline after a suite/seed change),
-    # mismatched --repeats (best-of-N timings are not comparable across
-    # N), and runs that would silently shrink the baseline's coverage.
-    gate_reason = None
-    if args.fail_on_regression is not None:
-        prior_repeats = (prior.get("meta") or {}).get("repeats")
-        if report is None or not report.cells:
-            gate_reason = (
-                "no overlapping scenarios with the prior — stale baseline?"
-            )
-        elif prior_repeats is not None and prior_repeats != args.repeats:
-            gate_reason = (
-                f"prior was measured with --repeats {prior_repeats}, "
-                f"this run with {args.repeats}"
-            )
-        elif report.only_in_prior:
-            gate_reason = (
-                f"this run covers {len(report.only_in_prior)} fewer cell(s) "
-                "than the prior baseline"
-            )
-        elif not report.ok:
-            gate_reason = "regressions or result drift detected"
-    gate_failed = gate_reason is not None
-    out_path = f"{args.out}.rejected" if gate_failed else args.out
-    try:
-        write_document(out_path, doc)
-    except OSError as exc:
-        print(
-            f"error: cannot write bench file {out_path!r}: {exc}",
-            file=sys.stderr,
-        )
-        return 2
-    print(f"\nwrote {len(records)} result(s) to {out_path}")
-    if report is not None:
-        print()
-        print(format_comparison(report))
-    if gate_failed:
-        print(
-            f"regression gate failed: {gate_reason}; baseline {args.out!r} "
-            f"left untouched; current results parked at {out_path!r}",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="filter-placement",
@@ -720,57 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_arguments(experiment)
     _add_observability_arguments(experiment)
     experiment.set_defaults(func=_cmd_experiment)
-
-    from repro.bench.scenarios import SUITE_NAMES
-
-    bench = sub.add_parser(
-        "bench", help="run a benchmark suite, write BENCH.json"
-    )
-    bench.add_argument(
-        "--suite",
-        choices=SUITE_NAMES,
-        default="default",
-        help="scenario matrix to run (default: default)",
-    )
-    bench.add_argument(
-        "-o", "--out", default="BENCH.json", help="results file to write"
-    )
-    bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="PRIOR_JSON",
-        help="prior BENCH.json to diff against",
-    )
-    bench.add_argument(
-        "--fail-on-regression",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help="exit 3 when any cell slows beyond RATIO (requires --compare)",
-    )
-    bench.add_argument("--repeats", type=int, default=1)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="world-shard process-pool workers for probabilistic cells "
-        "(1 = serial; cells that pin their own worker count win)",
-    )
-    bench.add_argument(
-        "--backends",
-        nargs="+",
-        choices=("python", "numpy"),
-        default=None,
-        help="restrict the backend axis (default: all available)",
-    )
-    bench.add_argument(
-        "--quiet", action="store_true", help="suppress per-cell progress"
-    )
-    _add_model_arguments(bench)
-    _add_observability_arguments(bench)
-    _add_warm_arguments(bench)
-    bench.set_defaults(func=_cmd_bench)
 
     from repro.service.jobs import POOL_KINDS
     from repro.service.store import DEFAULT_MAX_GRAPHS

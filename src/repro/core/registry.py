@@ -10,10 +10,6 @@ computed, never *what* they are:
 * ``exact`` (default) — the direct implementations; eager ``Greedy_All``
   gets every marginal gain from one bit-packed two-sweep evaluation per
   placement.
-* ``lazy`` — kept as a name only: it resolves to ``exact``.  The former
-  CELF optimizer saved gain evaluations, which the two-sweep evaluation
-  made too cheap to be worth saving; scripts and service cache keys that
-  still say ``lazy`` keep working with identical results.
 * ``sketch`` — selection on bottom-k reachability estimates
   (:mod:`repro.sketches`): float sweeps whose cost is independent of the
   source count, with the winning prefix exactly rescored.  On graphs
@@ -64,19 +60,11 @@ from repro.exceptions import ParameterError
 from repro.sketches.celf import SketchCelfGreedyAll
 
 
-def _renamed(algorithm: PlacementAlgorithm, name: str) -> PlacementAlgorithm:
-    algorithm.name = name
-    return algorithm
-
-
 _FACTORIES: dict[str, Callable[[], PlacementAlgorithm]] = {
     "G_All": GreedyAll,
     # Algorithm 1 exactly as printed: all k iterations, no early stop —
     # the cost profile Figure 11 measures.
     "G_All_paper": lambda: GreedyAll(early_stop=False),
-    # A former CELF variant, kept as a name for one more release: the
-    # eager loop returns the identical placement.
-    "G_All_lazy": lambda: _renamed(GreedyAll(), "G_All_lazy"),
     "G_All_sketch": SketchCelfGreedyAll,
     "G_Max": GreedyMax,
     "G_1": GreedyOne,
@@ -98,7 +86,6 @@ _SKETCH_FACTORIES: dict[str, Callable[[], PlacementAlgorithm]] = {
     "G_All_paper": lambda: SketchCelfGreedyAll(
         early_stop=False, name="G_All_paper"
     ),
-    "G_All_lazy": lambda: SketchCelfGreedyAll(name="G_All_lazy"),
     "G_All_sketch": SketchCelfGreedyAll,
 }
 
@@ -106,14 +93,13 @@ _SKETCH_FACTORIES: dict[str, Callable[[], PlacementAlgorithm]] = {
 ALGORITHM_NAMES: tuple[str, ...] = tuple(_FACTORIES)
 
 #: Execution strategies accepted by ``get_algorithm`` / ``--strategy``.
-STRATEGY_NAMES: tuple[str, ...] = ("exact", "lazy", "sketch")
+STRATEGY_NAMES: tuple[str, ...] = ("exact", "sketch")
 
 #: Algorithm names whose scores change under a probabilistic relaying
 #: model (the rest score structurally or draw at random and ignore it).
 MODEL_AWARE_NAMES: tuple[str, ...] = (
     "G_All",
     "G_All_paper",
-    "G_All_lazy",
     "G_Max",
     "G_L",
 )
@@ -130,19 +116,6 @@ PAPER_ALGORITHM_NAMES: tuple[str, ...] = (
     "Rand_W",
     "Rand_I",
     "Rand_K",
-)
-
-#: The subset of names whose results are deterministic for a fixed graph.
-DETERMINISTIC_ALGORITHM_NAMES: tuple[str, ...] = (
-    "G_All",
-    "G_All_lazy",
-    "G_All_sketch",
-    "G_Max",
-    "G_1",
-    "G_L",
-    "Tree_DP",
-    "Optimal",
-    "Betweenness",
 )
 
 # ``use_strategy`` scopes are per-thread, mirroring ``use_backend``: the
@@ -179,9 +152,9 @@ def use_strategy(strategy: str) -> Iterator[str]:
     """Scope the default strategy to a ``with`` block, on this thread only.
 
     This is how the strategy reaches code that looks algorithms up by
-    name deep inside a run (experiment drivers, the FR sweep, the bench
-    harness) without threading a parameter through every layer.  Scopes
-    nest and never bleed between threads.
+    name deep inside a run (experiment drivers, the FR sweep) without
+    threading a parameter through every layer.  Scopes nest and never
+    bleed between threads.
     """
     _check_strategy(strategy)
     with _default_strategy.scoped(strategy):
@@ -200,9 +173,9 @@ def get_algorithm(
 ) -> PlacementAlgorithm:
     """Instantiate the algorithm registered under ``name``.
 
-    ``strategy`` selects the execution strategy (``"exact"``, ``"lazy"`` or
-    ``"sketch"``; None uses the scoped/process default).  ``"lazy"`` is an
-    alias of ``"exact"``.  Sketch execution returns the bottom-k
+    ``strategy`` selects the execution strategy (``"exact"`` or
+    ``"sketch"``; None uses the scoped/process default).  Sketch execution
+    returns the bottom-k
     estimate-driven implementation for capable names
     (:data:`SKETCH_CAPABLE_NAMES`); ``sketch_k`` / ``epsilon`` /
     ``sketch_seed`` tune it (``epsilon`` wins over ``sketch_k`` via
@@ -265,10 +238,10 @@ def is_deterministic(name: str) -> bool:
     The randomized baselines (``Rand_*``) are *not* in this set — their
     results depend on the rng.  They are still cacheable by the service
     because its cache key carries an explicit ``rng_seed`` that pins the
-    draw; this predicate tells clients (via ``GET /algorithms``) and the
-    bench comparator which names are reproducible without one.
+    draw; this predicate tells clients (via ``GET /algorithms``) which
+    names are reproducible without one.
     """
-    return name in DETERMINISTIC_ALGORITHM_NAMES
+    return name in _FACTORIES and not name.startswith("Rand_")
 
 
 def algorithm_catalog() -> list[dict[str, object]]:

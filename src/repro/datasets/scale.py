@@ -17,7 +17,7 @@ Two consumption modes share one edge stream, so structure is identical:
   scales;
 * ``streamed=True`` — a :class:`~repro.graphs.largescale.StreamedGraph`
   compiled via the int32 streaming path, the only mode that reaches
-  million-node scale (and what the ``scale`` bench suite uses).
+  million-node scale.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ reproduced claim is the *ordering* — ``G_1`` is far cheaper than the
 impact-based methods, and ``G_All``'s per-iteration recomputation makes it
 the most expensive — not the absolute seconds: this library's two-pass
 impact engine is asymptotically faster than the paper's plist bookkeeping
-(run ``filter-placement bench --suite ablation`` for the backend
-comparison).
+(run ``filter-placement experiment fig11 --backend python`` and
+``--backend numpy`` for the backend comparison).
 """
 
 from __future__ import annotations

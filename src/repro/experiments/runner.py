@@ -137,7 +137,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         choices=STRATEGY_NAMES,
         default=None,
         help="execution strategy for sketch-capable algorithms "
-        "(lazy = deprecated alias of exact; default: exact)",
+        "(default: exact)",
     )
     from repro.propagation.model import DEFAULT_TRIALS, MODEL_NAMES
 

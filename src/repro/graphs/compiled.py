@@ -621,8 +621,7 @@ class CompiledGraph:
         Memory-mapped tables (a ``.fpc``-loaded graph's CSR and topo
         arrays) are *excluded* — they are backed by the page cache, not
         this process's heap, and charging them here made
-        ``/graphs/{digest}/stats`` and the ``compile`` bench suite
-        overstate memory by the on-disk graph size.  Use
+        ``/graphs/{digest}/stats`` overstate memory by the on-disk graph size.  Use
         :meth:`mapped_nbytes` / :meth:`nbytes_split` for the full
         picture.  Lazily materialized views (:attr:`succ_ids`, …) are
         charged only once built.

@@ -9,8 +9,8 @@ Three zero-dependency modules, one per concern:
   histograms behind a get-or-create registry; Prometheus text
   exposition via :meth:`~repro.obs.metrics.MetricsRegistry.render`.
 * :mod:`repro.obs.instrument` — :class:`InstrumentedBackend`, the
-  counting/tracing propagation-backend wrapper shared by the bench
-  harness and the service.
+  counting/tracing propagation-backend wrapper shared by the Figure 11
+  runtime table and the service.
 
 Everything is near-zero-cost while tracing is disabled (the default):
 :func:`span` is one attribute check returning a shared no-op object.

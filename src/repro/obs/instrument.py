@@ -4,8 +4,8 @@ Wall-clock alone can't tell *why* an algorithm got faster — fewer sweeps
 and cheaper sweeps (a faster backend) look the same on a stopwatch.
 :class:`InstrumentedBackend` wraps any propagation backend, forwards
 every call unchanged, and tallies how many of each evaluation the
-algorithm requested.  The bench harness installs it as the default
-backend for the timed region and reports the counters next to the
+algorithm requested.  The Figure 11 runtime table
+(:mod:`repro.analysis.runtime`) reports the counters next to the
 seconds; the service wraps every placement's backend in one so
 ``GET /metrics`` can attribute work per backend and evaluation kind.
 
@@ -15,7 +15,7 @@ sweep** — ``node_receipts``, ``total_receipts``, ``marginal_gains``,
 :func:`sweep_count` sums them; "propagation evaluations" in
 ``docs/benchmarks.md`` means exactly this sum.
 
-Cost discipline (``BENCH.json`` timings run through this wrapper):
+Cost discipline (every service placement runs through this wrapper):
 
 * The per-call path is one unlocked dict increment plus a single
   ``TRACER.enabled`` attribute read.  No locks, no metric objects.
@@ -24,7 +24,7 @@ Cost discipline (``BENCH.json`` timings run through this wrapper):
 * Global metrics are **published in bulk**: :meth:`publish` flushes the
   local counter dict into :data:`~repro.obs.metrics.REGISTRY` as
   ``fp_backend_evaluations_total{kind,backend}`` increments.  Callers
-  (the service, the bench harness) publish once per run, so the hot
+  (the service) publish once per run, so the hot
   loop never touches a lock.
 """
 
@@ -97,7 +97,7 @@ class InstrumentedBackend:
         self._published: dict[str, int] = dict.fromkeys(EVALUATION_KINDS, 0)
 
     def reset(self) -> None:
-        """Zero all counters (the harness resets between repeats)."""
+        """Zero all counters (a caller timing repeats resets between them)."""
         self.counts = dict.fromkeys(EVALUATION_KINDS, 0)
         self._published = dict.fromkeys(EVALUATION_KINDS, 0)
 

@@ -13,7 +13,7 @@ Design constraints, in priority order:
 * **Near-zero cost when disabled.**  Tracing is off by default; the
   module-level :func:`span` helper checks one attribute and returns a
   shared no-op context manager, so an instrumented call site costs a
-  function call and an attribute read — it must never move a BENCH
+  function call and an attribute read — it must never move a benchmark
   number or perturb deterministic results.
 * **Monotonic clocks.**  Durations come from ``time.perf_counter``;
   wall-clock (``time.time``) is recorded once per trace purely for

@@ -51,7 +51,7 @@ Node = Hashable
 Edge = tuple[Node, Node]
 
 #: Every value accepted on the model axis (CLI ``--model``, service
-#: ``"model"`` field, bench scenarios).
+#: ``"model"`` field, ``experiment --model``).
 MODEL_NAMES: tuple[str, ...] = ("deterministic", "live-edge", "per-copy")
 
 #: The genuinely random mechanisms (everything except ``deterministic``).
@@ -151,7 +151,7 @@ class PropagationModel:
         return (self.trials, self.seed, self.probabilities_key())
 
     def describe(self) -> dict[str, Any]:
-        """JSON-compatible summary for payloads and bench records."""
+        """JSON-compatible summary for placement payloads."""
         if isinstance(self.probabilities, Mapping):
             edge_prob: Any = f"per-edge({len(self.probabilities)})"
         else:
@@ -223,8 +223,8 @@ def use_model(
 ) -> Iterator[PropagationModel | None]:
     """Scope the default propagation model to a ``with`` block (per-thread).
 
-    This is how ``--model`` reaches the experiment drivers and the bench
-    harness without threading a parameter through every figure function —
+    This is how ``--model`` reaches the experiment drivers without
+    threading a parameter through every figure function —
     the exact pattern of :func:`repro.core.registry.use_strategy`.
     """
     _check_model_spec(model)

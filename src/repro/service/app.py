@@ -234,6 +234,13 @@ class ServiceApp:
         world_workers: int = 1,
         persist_dir: "str | None" = None,
     ) -> None:
+        from repro.propagation.parallel import _check_workers
+
+        #: World-shard workers each placement job evaluates sampled
+        #: worlds with (1 = serial); scoped per job thread, so concurrent
+        #: jobs cannot leak the setting into each other.  Checked before
+        #: any pool starts, so a bad count leaves nothing running.
+        self.world_workers = _check_workers(world_workers)
         self.store = GraphStore(
             max_graphs=max_graphs,
             warm_backends=warm_backends,
@@ -243,10 +250,6 @@ class ServiceApp:
             max_entries=cache_entries, max_bytes=cache_bytes
         )
         self.jobs = JobManager(workers=workers, pool=pool)
-        #: World-shard workers each placement job evaluates sampled
-        #: worlds with (1 = serial); scoped per job thread, so concurrent
-        #: jobs cannot leak the setting into each other.
-        self.world_workers = max(1, int(world_workers))
         self.started_unix = time.time()
         self.wait_timeout = wait_timeout
         self._requests = 0
@@ -886,11 +889,11 @@ class ServiceApp:
         }
 
     # ------------------------------------------------------------------
-    # Convenience (tests, bench)
+    # Convenience (tests)
     # ------------------------------------------------------------------
 
     def place_sync(self, body: dict[str, Any]) -> tuple[int, dict[str, Any]]:
-        """``handle_placement`` with ``wait=True`` forced — test/bench sugar."""
+        """``handle_placement`` with ``wait=True`` forced — test sugar."""
         return self.handle_placement({**body, "wait": True})
 
 

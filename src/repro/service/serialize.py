@@ -3,9 +3,8 @@
 Both consumers import from here — the CLI's ``--json`` mode and the HTTP
 API — so "API results are bit-identical to ``place --json``" holds by
 construction rather than by parallel maintenance.  Payloads are plain
-JSON-compatible dicts; node ids appear as their ``repr`` (the convention
-``BENCH.json`` already uses), which keeps ints and strings distinguishable
-after a round-trip.
+JSON-compatible dicts; node ids appear as their ``repr``, which keeps
+ints and strings distinguishable after a round-trip.
 
 Objective values are exact integers (the propagation model counts copies),
 so equality across backends and strategies is genuinely bit-level, not

@@ -191,17 +191,6 @@ class GraphEntry:
                 )
             return self._phi_constants
 
-    def prime_phi_constants(self, constants: tuple[int, int]) -> None:
-        """Seed ``(Φ(∅), F(V))`` with an externally computed pair.
-
-        The bench harness computes the constants once per graph and
-        shares them with its throwaway service apps so setup cost never
-        leaks into a timed region.
-        """
-        with self._lock:
-            if self._phi_constants is None:
-                self._phi_constants = constants
-
     def describe_payload(self) -> dict[str, Any]:
         """The entry's JSON form for listings and registration responses."""
         public_spec = {

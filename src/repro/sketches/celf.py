@@ -18,8 +18,7 @@ decreasing strength:
   drove selection survive in ``PlacementResult.estimated_gains``.
 * **Approximate regime, large graph**: rescoring is skipped
   (``rescored=False``), steps carry the estimates, and exact objectives
-  are left to the caller's scoring boundary (the bench score phase / the
-  service serializer) — the rescore costs about one exact run, which is
+  are left to the caller's scoring boundary (the service serializer) — the rescore costs about one exact run, which is
   exactly what the sketch tier exists to avoid.
 
 Staleness here is *global*: a placement can move any node's estimated gain, so

@@ -65,7 +65,7 @@ def test_queries_agree_on_random_dags(seed):
 
 
 @pytest.mark.parametrize(
-    "algorithm_name", ("G_All", "G_All_lazy", "G_Max", "G_L")
+    "algorithm_name", ("G_All", "G_All_paper", "G_Max", "G_L")
 )
 @pytest.mark.parametrize("dataset", ("fig10", "synthetic-sparse", "citation"))
 def test_placements_identical_across_backends(algorithm_name, dataset):

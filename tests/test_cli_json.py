@@ -35,14 +35,35 @@ def test_place_json_payload_shape():
 
 def test_place_json_identical_across_strategies_and_backends():
     payloads = []
-    for strategy in ("exact", "lazy"):
+    for flags in (
+        ["--strategy", "exact", "--backend", "python"],
+        ["--backend", "auto"],
+    ):
         code, out = run_cli([
             "place", "--dataset", "fig10", "--algorithm", "G_All",
-            "-k", "3", "--strategy", strategy, "--json",
+            "-k", "3", "--json", *flags,
         ])
         assert code == 0
         payloads.append(json.loads(out))
     assert payloads[0] == payloads[1]
+
+
+def test_place_cli_backend_flag(capsys):
+    outputs = {}
+    for backend in ("python", "auto"):
+        code = main(
+            [
+                "place",
+                "--dataset", "fig1",
+                "--algorithm", "G_All",
+                "-k", "2",
+                "--backend", backend,
+            ]
+        )
+        assert code == 0
+        outputs[backend] = capsys.readouterr().out
+    assert outputs["python"] == outputs["auto"]
+    assert "'z2'" in outputs["python"]
 
 
 def test_stats_json_payload():
@@ -93,11 +114,12 @@ def test_place_json_probabilistic_model_block():
     }
     # SAA estimates are mutually consistent floats over shared worlds.
     assert payload["objective"] == payload["phi_empty"] - payload["phi"]
-    # Byte-identical across repeats (seeded worlds) and strategies.
+    # Byte-identical across repeats (seeded worlds); same filters on
+    # every backend (shared worlds).
     assert run_cli(argv) == (code, out)
-    lazy_code, lazy_out = run_cli(argv + ["--strategy", "lazy"])
-    assert lazy_code == 0
-    assert json.loads(lazy_out)["filters"] == payload["filters"]
+    py_code, py_out = run_cli(argv + ["--backend", "python"])
+    assert py_code == 0
+    assert json.loads(py_out)["filters"] == payload["filters"]
 
 
 def test_place_json_deterministic_unchanged_by_model_flags():

@@ -4,7 +4,7 @@ The compile-once refactor rewired every layer — engine, backends,
 algorithms — onto the interned-id/CSR view.  This suite pins the
 semantics to the pre-refactor dict engine (:mod:`oracle_dictpath`, kept
 in the test tree only): identical placements and objectives across the
-full algorithm × strategy × backend matrix on **every** built-in dataset
+full algorithm × route × backend matrix on **every** built-in dataset
 (scaled down where generation or oracle sweeps would otherwise dominate
 the test run), and identical raw sweep numbers on assorted filter sets.
 
@@ -19,9 +19,13 @@ from __future__ import annotations
 import pytest
 
 import oracle_dictpath as oracle
-from repro.backends.registry import available_backends, use_backend
+from repro.backends.registry import (
+    available_backends,
+    build_backend,
+    use_backend,
+)
 from repro.core.objective import objective_value
-from repro.core.registry import STRATEGY_NAMES, get_algorithm
+from repro.core.registry import get_algorithm
 from repro.datasets.registry import DATASET_NAMES, get_dataset
 
 #: Every built-in dataset, scaled so oracle dict sweeps stay test-sized.
@@ -40,6 +44,13 @@ DATASET_SPECS: dict[str, dict] = {
 
 K = 5
 
+#: How a matrix cell reaches its placement.  ``exact`` and ``sketch`` are
+#: the registry strategies, run on the shared dataset graph that earlier
+#: cells have already compiled and warmed.  ``lazy`` runs ``exact`` on a
+#: freshly generated copy that nothing has touched, so the compile, the
+#: reachability warm and the backend plan all happen inside ``place``.
+ROUTES = ("exact", "lazy", "sketch")
+
 _graphs: dict[str, object] = {}
 
 
@@ -55,20 +66,24 @@ def test_every_builtin_dataset_is_covered():
 
 @pytest.mark.parametrize("dataset", sorted(DATASET_SPECS))
 @pytest.mark.parametrize("algorithm", sorted(oracle.ORACLE_PLACERS))
-@pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("backend", available_backends())
 def test_matrix_placements_match_dict_oracle(
-    dataset, algorithm, strategy, backend
+    dataset, algorithm, route, backend
 ):
     graph = dataset_graph(dataset)
     expected = oracle.ORACLE_PLACERS[algorithm](graph, K)
+    engine, strategy = backend, route
+    if route == "lazy":
+        graph = get_dataset(dataset, **DATASET_SPECS[dataset])
+        engine, strategy = build_backend(backend), "exact"
 
-    instance = get_algorithm(algorithm, strategy=strategy, backend=backend)
-    with use_backend(backend):
+    instance = get_algorithm(algorithm, strategy=strategy, backend=engine)
+    with use_backend(engine):
         result = instance.place(graph, K)
 
     assert result.filters == expected, (
-        f"{dataset}/{algorithm}/{strategy}/{backend} diverged from the "
+        f"{dataset}/{algorithm}/{route}/{backend} diverged from the "
         "dict-path oracle"
     )
     # Objectives agree too: the compiled Φ equals the oracle's dict Φ.

@@ -30,7 +30,7 @@ import pytest
 import oracle_dictpath as oracle
 from strategies import DagCase, reach_cases, standard_cases
 from repro.backends.registry import available_backends, build_backend
-from repro.core.registry import STRATEGY_NAMES, get_algorithm
+from repro.core.registry import get_algorithm
 from repro.propagation.model import PropagationModel
 from repro.propagation.reach import warm_reach_counts
 
@@ -48,17 +48,28 @@ TRIALS = 6  # below the pool threshold: the fuzz corpus stays in-process
 #: cached counts.
 REACH_LAYOUTS = ("bitpack", "lanes")
 
+#: How a placement cell reaches its result.  ``exact`` and ``sketch`` are
+#: the registry strategies on the shared case graph and backend.
+#: ``lazy`` runs ``exact`` on a graph built for that cell alone, with a
+#: backend of its own: the backend plan (and, in the ``bitpack`` layout,
+#: the reachability warm) happens inside ``place``.
+ROUTES = ("exact", "lazy", "sketch")
+
 _graphs: dict[tuple[str, str], object] = {}
 _backends: dict[str, object] = {}
+
+
+def fresh_case_graph(case: DagCase, layout: str):
+    graph = case.build()
+    if layout == "lanes":
+        warm_reach_counts(graph.compiled(), block=1)
+    return graph
 
 
 def case_graph(case: DagCase, layout: str = "bitpack"):
     key = (case.name, layout)
     if key not in _graphs:
-        graph = case.build()
-        if layout == "lanes":
-            warm_reach_counts(graph.compiled(), block=1)
-        _graphs[key] = graph
+        _graphs[key] = fresh_case_graph(case, layout)
     return _graphs[key]
 
 
@@ -104,19 +115,22 @@ def test_sweep_numbers_match_dict_oracle(case, backend_name, layout):
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
 @pytest.mark.parametrize("algorithm", sorted(oracle.ORACLE_PLACERS))
-@pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("backend_name", available_backends())
 @pytest.mark.parametrize("layout", REACH_LAYOUTS)
 def test_placements_match_dict_oracle(
-    case, algorithm, strategy, backend_name, layout
+    case, algorithm, route, backend_name, layout
 ):
     graph = case_graph(case, layout)
     expected = oracle.ORACLE_PLACERS[algorithm](graph, K)
-    backend = fuzz_backend(backend_name)
+    backend, strategy = fuzz_backend(backend_name), route
+    if route == "lazy":
+        graph = fresh_case_graph(case, layout)
+        backend, strategy = build_backend(backend_name), "exact"
     instance = get_algorithm(algorithm, strategy=strategy, backend=backend)
     result = instance.place(graph, K)
     assert result.filters == expected, (
-        f"{case.name}/{algorithm}/{strategy}/{backend_name}/{layout} "
+        f"{case.name}/{algorithm}/{route}/{backend_name}/{layout} "
         "diverged from the dict-path oracle"
     )
 

@@ -16,7 +16,7 @@ from repro.core.registry import get_algorithm
 from repro.datasets.synthetic import sparse_synthetic
 from repro.datasets.toy import fig3_like_graph, fig10_sketch_graph
 
-ALGORITHMS = ("G_All", "G_All_lazy", "G_Max", "G_1", "G_L")
+ALGORITHMS = ("G_All", "G_All_paper", "G_Max", "G_1", "G_L")
 
 GRAPHS = {
     "fig3": fig3_like_graph,
@@ -40,11 +40,3 @@ def test_prefixes_match_smaller_budgets(name, algorithm_name):
             f"{algorithm_name} budget {j} diverges from prefix"
         )
         assert full.prefix(len(smaller.filters)) == smaller.filter_set()
-
-
-def test_lazy_matches_eager_selections():
-    graph = fig10_sketch_graph()
-    eager = get_algorithm("G_All").place(graph, 8)
-    lazy = get_algorithm("G_All_lazy").place(graph, 8)
-    assert eager.filters == lazy.filters
-    assert [s.gain for s in eager.steps] == [s.gain for s in lazy.steps]

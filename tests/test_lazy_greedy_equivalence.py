@@ -1,12 +1,13 @@
-"""The ``lazy`` names are aliases of eager ``Greedy_All``.
+"""The ``lazy`` names are gone; eager ``Greedy_All`` is the one path.
 
-The CELF optimizer is gone: one bit-packed two-sweep evaluation yields
-every marginal gain, so lazy re-evaluation had nothing left to save.
-The names stay for one release so scripts and service cache keys keep
-working — ``G_All_lazy``, ``get_algorithm(..., strategy="lazy")``,
-``place --strategy lazy`` and a service request with
-``"strategy": "lazy"`` must all return eager ``G_All``'s filters and
-objective.
+The CELF optimizer went first: one bit-packed two-sweep evaluation
+yields every marginal gain, so lazy re-evaluation had nothing left to
+save.  Its names, ``G_All_lazy`` and ``strategy="lazy"``, outlived it by
+one release as aliases of eager ``G_All`` and are now deleted too.
+Every route that accepted them rejects them: ``get_algorithm`` raises
+``ParameterError``, ``place --strategy lazy`` exits 2 and
+``POST /placements`` answers 400.  The same routes still serve eager
+``G_All``'s filters and objective.
 
 The incremental gain sessions went with CELF.  What they guaranteed is
 still relied on: callers that walk a placement sequence (the sketch
@@ -29,7 +30,11 @@ from repro.backends import available_backends, get_backend
 from repro.cli import main
 from repro.core.greedy_all import GreedyAll
 from repro.core.objective import objective_value
-from repro.core.registry import get_algorithm, use_strategy
+from repro.core.registry import (
+    get_algorithm,
+    set_default_strategy,
+    use_strategy,
+)
 from repro.datasets.registry import get_dataset
 from repro.datasets.synthetic import dense_synthetic, sparse_synthetic
 from repro.datasets.toy import (
@@ -38,7 +43,8 @@ from repro.datasets.toy import (
     fig3_like_graph,
     fig10_sketch_graph,
 )
-from repro.service.app import ServiceApp
+from repro.exceptions import ParameterError
+from repro.service.app import RequestError, ServiceApp
 
 GRAPHS = {
     "fig1": fig1_graph,
@@ -56,15 +62,19 @@ K = 6
 ROUTES = ("G_All_lazy", "strategy", "cli", "service")
 
 
-def lazy_filters_and_objective(route, dataset, backend_name):
-    """(filters, objective) through one ``lazy`` route, serialized."""
+def route_filters_and_objective(route, dataset, backend_name, *, alias):
+    """(filters, objective) of ``G_All`` through one route, serialized.
+
+    With ``alias`` the request names the deleted lazy alias instead
+    (``G_All_lazy`` on the name route, ``"lazy"`` on the strategy
+    routes), and the route's rejection propagates.
+    """
+    strategy = "lazy" if alias and route != "G_All_lazy" else "exact"
     if route in ("G_All_lazy", "strategy"):
-        if route == "G_All_lazy":
-            algorithm = get_algorithm("G_All_lazy", backend=backend_name)
-        else:
-            algorithm = get_algorithm(
-                "G_All", strategy="lazy", backend=backend_name
-            )
+        name = "G_All_lazy" if alias and route == "G_All_lazy" else "G_All"
+        algorithm = get_algorithm(
+            name, strategy=strategy, backend=backend_name
+        )
         graph = get_dataset(dataset)
         result = algorithm.place(graph, K)
         return (
@@ -76,7 +86,7 @@ def lazy_filters_and_objective(route, dataset, backend_name):
         with contextlib.redirect_stdout(buffer):
             code = main([
                 "place", "--dataset", dataset, "--algorithm", "G_All",
-                "-k", str(K), "--strategy", "lazy",
+                "-k", str(K), "--strategy", strategy,
                 "--backend", backend_name, "--json",
             ])
         assert code == 0
@@ -92,7 +102,7 @@ def lazy_filters_and_objective(route, dataset, backend_name):
                 "graph": graph_doc["digest"],
                 "algorithm": "G_All",
                 "k": K,
-                "strategy": "lazy",
+                "strategy": strategy,
                 "backend": backend_name,
                 "wait": True,
             })
@@ -107,16 +117,35 @@ def lazy_filters_and_objective(route, dataset, backend_name):
 @pytest.mark.parametrize("dataset", ("fig10", "quote"))
 @pytest.mark.parametrize("route", ROUTES)
 def test_lazy_alias_matches_eager_g_all(route, dataset, backend_name):
+    """Each route rejects the lazy alias and still serves eager G_All."""
     graph = get_dataset(dataset)
     eager = get_algorithm("G_All", backend=backend_name).place(graph, K)
     expected = (
         [repr(v) for v in eager.filters],
         objective_value(graph, eager.filters, backend=backend_name),
     )
-    assert eager.filters, "the alias check needs a non-empty placement"
-    assert lazy_filters_and_objective(route, dataset, backend_name) == (
-        expected
-    )
+    assert eager.filters, "the route check needs a non-empty placement"
+    assert route_filters_and_objective(
+        route, dataset, backend_name, alias=False
+    ) == expected
+    if route == "cli":
+        # argparse rejects an unknown --strategy choice with exit 2.
+        with pytest.raises(SystemExit) as rejected:
+            route_filters_and_objective(
+                route, dataset, backend_name, alias=True
+            )
+        assert rejected.value.code == 2
+    elif route == "service":
+        with pytest.raises(RequestError, match="unknown strategy") as bad:
+            route_filters_and_objective(
+                route, dataset, backend_name, alias=True
+            )
+        assert bad.value.status == 400
+    else:
+        with pytest.raises(ParameterError, match="lazy"):
+            route_filters_and_objective(
+                route, dataset, backend_name, alias=True
+            )
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -126,15 +155,17 @@ def test_lazy_matches_exact_up_to_k10(graph_name, backend_name):
     backend = get_backend(backend_name)
     k = min(10, len(graph))
     eager = GreedyAll(backend=backend).place(graph, k)
-    lazy = get_algorithm("G_All_lazy", backend=backend).place(graph, k)
-    assert lazy.algorithm == "G_All_lazy"
-    assert lazy.filters == eager.filters
-    assert [s.gain for s in lazy.steps] == [s.gain for s in eager.steps]
-    # Objective values agree at every prefix, not just the endpoint.
-    for j in range(len(eager.filters) + 1):
-        assert objective_value(
-            graph, eager.filters[:j], backend=backend
-        ) == objective_value(graph, lazy.filters[:j], backend=backend)
+    named = get_algorithm("G_All", backend=backend).place(graph, k)
+    assert named.algorithm == "G_All"
+    assert named.filters == eager.filters
+    assert [s.gain for s in named.steps] == [s.gain for s in eager.steps]
+    # Each step's gain is the objective it adds to its prefix, at every
+    # prefix, not just the endpoint.
+    previous = 0
+    for j, step in enumerate(eager.steps, start=1):
+        value = objective_value(graph, eager.filters[:j], backend=backend)
+        assert value - previous == step.gain
+        previous = value
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -192,33 +223,40 @@ def test_sessions_identical_across_backends():
 
 
 def test_strategy_selects_celf_without_changing_the_name():
-    # ``strategy="lazy"`` now selects the eager optimizer; the reported
-    # name stays ``G_All`` so result labels never fork.
-    exact = get_algorithm("G_All")
-    lazy = get_algorithm("G_All", strategy="lazy")
+    # ``exact`` selects the eager optimizer under the reported name
+    # ``G_All``; the deleted ``lazy`` strategy is refused by every entry
+    # point that sets one.
+    exact = get_algorithm("G_All", strategy="exact")
     assert isinstance(exact, GreedyAll)
-    assert isinstance(lazy, GreedyAll)
-    assert lazy.name == "G_All"
-    with use_strategy("lazy"):
+    assert exact.name == "G_All"
+    with pytest.raises(ParameterError, match="exact, sketch"):
+        get_algorithm("G_All", strategy="lazy")
+    with pytest.raises(ParameterError):
+        with use_strategy("lazy"):
+            pass
+    with pytest.raises(ParameterError):
+        set_default_strategy("lazy")
+    with use_strategy("exact"):
         assert isinstance(get_algorithm("G_All"), GreedyAll)
-        assert get_algorithm("G_All").name == "G_All"
-        # Algorithms without a lazy alias are untouched by the strategy.
         assert type(get_algorithm("G_1")).__name__ == "GreedyOne"
-    assert isinstance(get_algorithm("G_All"), GreedyAll)
 
 
 def test_place_cli_strategy_flag_matches_exact(capsys):
     outputs = {}
-    for strategy in ("exact", "lazy"):
+    for flags in (["--strategy", "exact"], []):
         code = main(
             [
                 "place",
                 "--dataset", "fig10",
                 "--algorithm", "G_All",
                 "-k", "4",
-                "--strategy", strategy,
+                *flags,
             ]
         )
         assert code == 0
-        outputs[strategy] = capsys.readouterr().out
-    assert outputs["exact"] == outputs["lazy"]
+        outputs[bool(flags)] = capsys.readouterr().out
+    assert outputs[True] == outputs[False]
+    with pytest.raises(SystemExit) as rejected:
+        main(["place", "--dataset", "fig10", "-k", "4", "--strategy", "lazy"])
+    assert rejected.value.code == 2
+    assert "invalid choice: 'lazy'" in capsys.readouterr().err

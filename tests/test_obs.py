@@ -293,20 +293,32 @@ def test_no_spans_recorded_when_tracer_disabled(fig1):
     assert names == ["backend.marginal_gains", "backend.total_receipts"]
 
 
-def test_toy_suite_counter_regression():
-    """The bench counters that docs/benchmarks.md explains must hold."""
-    from repro.bench.harness import run_suite
-    from repro.bench.scenarios import get_suite
+def test_counting_backend_tallies_calls(fig1):
+    counting = InstrumentedBackend(get_backend("python"))
+    counting.marginal_gains(fig1)
+    counting.marginal_gains(fig1, ["z2"])
+    counting.total_receipts(fig1)
+    assert counting.counts["marginal_gains"] == 2
+    assert counting.counts["total_receipts"] == 1
+    assert counting.total_evaluations() == 3
+    counting.reset()
+    assert counting.total_evaluations() == 0
 
-    records = run_suite(get_suite("toy", backends=("python",)))
-    by_alg = {}
-    for r in records:
-        if r.scenario.dataset == "fig10":
-            by_alg[r.scenario.algorithm] = r.evaluations
-    # G_All: one marginal-gains sweep per placed filter and nothing else.
-    assert sweep_count(by_alg["G_All"]) == 3
-    assert by_alg["G_All"]["marginal_gains"] == 3
-    assert set(by_alg["G_All"]) == set(EVALUATION_KINDS)
+
+def test_toy_suite_counter_regression():
+    """Eager G_All sweeps once per placement step and nothing else.
+
+    fig10 at k=3 places two filters, then the third step's sweep finds
+    no positive gain and stops early: three ``marginal_gains`` sweeps.
+    """
+    from repro.core.registry import get_algorithm
+    from repro.datasets.registry import get_dataset
+
+    counting = InstrumentedBackend(get_backend("python"))
+    get_algorithm("G_All", backend=counting).place(get_dataset("fig10"), 3)
+    assert set(counting.counts) == set(EVALUATION_KINDS)
+    assert counting.counts["marginal_gains"] == 3
+    assert sweep_count(counting.counts) == 3
 
 
 def test_sampling_world_cache_metrics():

@@ -473,6 +473,11 @@ def test_app_healthz_and_algorithms(app):
     assert {"G_All", "G_Max", "Rand_K"} <= names
     g_all = next(r for r in catalog["algorithms"] if r["name"] == "G_All")
     assert g_all["sketch_capable"] and g_all["deterministic"]
+    # Only the randomized baselines need an rng_seed to be reproducible.
+    assert {
+        row["name"] for row in catalog["algorithms"]
+        if not row["deterministic"]
+    } == {"Rand_K", "Rand_I", "Rand_W"}
 
 
 def test_app_process_pool_matches_thread_pool():
@@ -496,26 +501,43 @@ def test_app_process_pool_matches_thread_pool():
         process_app.close()
 
 
-def test_service_bench_scenarios_run():
-    from repro.bench.compare import cache_speedup
-    from repro.bench.harness import run_suite
-    from repro.bench.scenarios import BenchScenario
+def test_service_bench_scenarios_run(app):
+    """A cold miss and the cache hit that follows return one result."""
+    digest = app.store.register_dataset("fig10")[0].digest
+    body = {"graph": digest, "algorithm": "G_All", "k": 3, "backend": "python"}
+    status, cold = app.place_sync(body)
+    assert status == 200 and cold["cache"]["hit"] is False
+    status, hit = app.handle_placement(body)
+    assert status == 200 and hit["cache"]["hit"] is True
+    assert hit["result"] == cold["result"]
+    assert cold["result"]["filters"]
 
-    scenarios = [
-        BenchScenario("fig10", "G_All", 3, "python", mode="service_cold"),
-        BenchScenario("fig10", "G_All", 3, "python", mode="service_hit"),
-    ]
-    records = run_suite(scenarios)
-    assert [r.scenario.key() for r in records] == [
-        "fig10@default/seed0/G_All/k3/python/cold",
-        "fig10@default/seed0/G_All/k3/python/hit",
-    ]
-    cold, hit = records
-    assert cold.filters == hit.filters
-    assert cold.objective == hit.objective
-    ratios = cache_speedup(records)
-    assert set(ratios) == {"fig10@default/seed0/G_All/k3/python/hit"}
-    assert all(r > 1.0 for r in ratios.values())
+
+@pytest.mark.parametrize("world_workers", (0, -1))
+def test_app_rejects_nonpositive_world_workers(world_workers):
+    with pytest.raises(ParameterError, match="positive"):
+        ServiceApp(world_workers=world_workers, warm_backends=False)
+
+
+def test_serve_cli_rejects_nonpositive_world_workers():
+    # A child process: ``serve`` sets process-wide tracing and logging
+    # before it builds the app.
+    import os
+    import subprocess
+    import sys
+
+    from conftest import SRC
+
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--world-workers", "0"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "workers must be positive" in done.stderr
 
 
 # ----------------------------------------------------------------------

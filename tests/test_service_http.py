@@ -12,6 +12,7 @@ import urllib.request
 import pytest
 
 from repro.backends.registry import available_backends
+from repro.core.registry import STRATEGY_NAMES
 from repro.service.app import ServiceApp
 from repro.service.http import make_server
 
@@ -105,6 +106,13 @@ def test_http_error_statuses(server):
     assert call(server, "POST", "/graphs", {"dataset": "bogus"})[0] == 400
     status, doc = call(server, "POST", "/placements", {"k": 1})
     assert status == 400 and "graph" in doc["error"]
+    # The deleted lazy strategy is an unknown name, not a silent synonym.
+    _, graph = call(server, "POST", "/graphs", {"dataset": "fig1"})
+    body = {"graph": graph["digest"], "algorithm": "G_All", "k": 1}
+    status, doc = call(
+        server, "POST", "/placements", {**body, "strategy": "lazy"}
+    )
+    assert status == 400 and "unknown strategy 'lazy'" in doc["error"]
     # malformed JSON body
     url = f"http://127.0.0.1:{server.port}/placements"
     request = urllib.request.Request(
@@ -197,11 +205,11 @@ def cli_place_json(argv) -> dict:
 
 def matrix_combinations():
     algorithms = (
-        "G_All", "G_All_paper", "G_All_lazy", "G_Max", "G_1", "G_L",
+        "G_All", "G_All_paper", "G_Max", "G_1", "G_L",
         "Rand_K", "Rand_I", "Rand_W", "Betweenness",
     )
     for algorithm in algorithms:
-        for strategy in ("exact", "lazy"):
+        for strategy in STRATEGY_NAMES:
             for backend in available_backends():
                 yield algorithm, strategy, backend
 

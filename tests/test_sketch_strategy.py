@@ -1,20 +1,18 @@
 """The ``sketch`` execution strategy end to end.
 
-Pins the strategy's cross-layer wiring: registry resolution (the third
-``strategy`` axis beside ``exact``/``lazy``), the exactness-regime
+Pins the strategy's cross-layer wiring: registry resolution (the
+``strategy`` axis beside ``exact``), the exactness-regime
 selection guarantee (bit-identical to exact ``Greedy_All`` whenever the
 source count fits the register file), the approximate-regime objective
 quality bound, the three rescore tiers of
-:class:`~repro.sketches.celf.SketchCelfGreedyAll`, the service
-serializer's estimator audit trail, and the bench comparators that grade
-the scale suite.
+:class:`~repro.sketches.celf.SketchCelfGreedyAll` and the service
+serializer's estimator audit trail.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.compare import sketch_error, sketch_speedup
 from repro.core.objective import objective_value
 from repro.core.registry import (
     SKETCH_CAPABLE_NAMES,
@@ -253,53 +251,3 @@ def test_payload_exact_strategies_omit_sketch_block():
     result = get_algorithm("G_All", strategy="exact").place(graph, K)
     payload = placement_payload(graph, result)
     assert "sketch" not in payload
-
-
-# ----------------------------------------------------------------------
-# Bench comparators
-# ----------------------------------------------------------------------
-
-
-def _row(key, seconds, plan_seconds, objective):
-    return {
-        "key": key,
-        "algorithm": key.split("/")[2],
-        "seconds": seconds,
-        "plan_seconds": plan_seconds,
-        "objective": objective,
-    }
-
-
-def test_sketch_speedup_is_end_to_end():
-    rows = [
-        # Exact pays its warm in plan; sketch pays almost nothing.
-        _row("d@1/seed0/G_All/k10/numpy", 0.04, 45.0, 1000),
-        _row("d@1/seed0/G_All_sketch/k10/numpy", 0.28, 0.08, 930),
-    ]
-    speedup = sketch_speedup(rows)
-    assert speedup == {
-        "d@1/seed0/G_All_sketch/k10/numpy": pytest.approx(45.04 / 0.36)
-    }
-
-
-def test_sketch_speedup_skips_unmatched_cells():
-    rows = [_row("d@10/seed0/G_All_sketch/k10/numpy/streamed", 1.0, 0.1, 0)]
-    assert sketch_speedup(rows) == {}
-
-
-def test_sketch_error_is_objective_ratio():
-    rows = [
-        _row("d@1/seed0/G_All/k10/numpy", 0.04, 45.0, 1000),
-        _row("d@1/seed0/G_All_sketch/k10/numpy", 0.28, 0.08, 930),
-    ]
-    assert sketch_error(rows) == {
-        "d@1/seed0/G_All_sketch/k10/numpy": pytest.approx(0.93)
-    }
-
-
-def test_sketch_error_skips_estimate_only_cells():
-    rows = [
-        _row("d@1/seed0/G_All/k10/numpy", 0.04, 45.0, 1000),
-        _row("d@1/seed0/G_All_sketch/k10/numpy/est", 0.28, 0.08, 912.5),
-    ]
-    assert sketch_error(rows) == {}
