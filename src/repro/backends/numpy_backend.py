@@ -50,9 +50,12 @@ from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
-from repro.exceptions import MissingSourceError
+from repro.exceptions import (
+    GraphStructureError,
+    MissingNodeError,
+    MissingSourceError,
+)
 from repro.graphs.cgraph import CGraph
-from repro.graphs.validation import validate_filter_set
 from repro.backends.probe import OVERFLOW_LIMIT, pick_representation
 from repro.backends.python_backend import PythonBackend
 from repro.backends.sampled import SampledEvaluationMixin
@@ -142,7 +145,6 @@ class _Plan:
     # can pin a discarded graph alive.  The reference is what routes
     # ``_nreach`` through the shared blocked warm (and its ``.fpc``-
     # persisted counts).
-    index: dict[Node, int]
     node_list: tuple[Node, ...]
     sources: tuple[Node, ...]
     compiled: Any = None
@@ -266,11 +268,8 @@ class NumpyBackend(SampledEvaluationMixin):
             raise CyclicGraphError("graph contains a directed cycle")
         nodes = compiled.nodes
         n = compiled.n
-        index = compiled.index
-        sources = tuple(nodes[i] for i in compiled.source_ids)
-        plan = _Plan(
-            index=index, node_list=nodes, sources=sources, compiled=compiled
-        )
+        sources = tuple(map(nodes.__getitem__, compiled.source_ids))
+        plan = _Plan(node_list=nodes, sources=sources, compiled=compiled)
 
         counts = np.array(compiled.out_degree, dtype=np.intp)
         src = np.repeat(np.arange(n, dtype=np.intp), counts)
@@ -294,11 +293,18 @@ class NumpyBackend(SampledEvaluationMixin):
         edge_level_starts = np.searchsorted(
             edge_level[edges_by_level], np.arange(num_levels + 1)
         )
-        source_idx = list(compiled.source_ids)
+        source_idx = np.array(compiled.source_ids, dtype=np.intp)
         col_to_row = np.full(n, -1, dtype=np.intp)
-        for row, si in enumerate(source_idx):
-            col_to_row[si] = row
+        col_to_row[source_idx] = np.arange(source_idx.size, dtype=np.intp)
         plan.src_bonus = (col_to_row >= 0).astype(np.int64)
+        # ψ rows (one per source, in source order) grouped by the level
+        # their source sits in: one stable sort keeps each level's rows
+        # ascending, and the level bounds fall out of a searchsorted.
+        source_depth = depth[source_idx]
+        rows_by_level = np.argsort(source_depth, kind="stable")
+        row_level_starts = np.searchsorted(
+            source_depth[rows_by_level], np.arange(num_levels + 1)
+        )
 
         def group_starts(sorted_keys: Any) -> Any:
             """Segment starts of equal-key runs in an already-sorted array."""
@@ -335,10 +341,9 @@ class NumpyBackend(SampledEvaluationMixin):
                 bwd_offsets = bwd_uniq_src = empty
                 fwd_edge_ids = bwd_edge_ids = empty
                 fwd_src_global = fwd_origin_sel = fwd_origin_row = empty
-            origin_rows = [
-                row for row, si in enumerate(source_idx) if depth[si] == lvl
+            origin_rows = rows_by_level[
+                row_level_starts[lvl]:row_level_starts[lvl + 1]
             ]
-            origin_cols = [local_pos[source_idx[row]] for row in origin_rows]
             plan.levels.append(
                 _Level(
                     nodes=lvl_nodes,
@@ -348,8 +353,8 @@ class NumpyBackend(SampledEvaluationMixin):
                     bwd_dst=dst_global,
                     bwd_uniq_src=bwd_uniq_src,
                     bwd_offsets=bwd_offsets,
-                    origin_rows=np.array(origin_rows, dtype=np.intp),
-                    origin_cols=np.array(origin_cols, dtype=np.intp),
+                    origin_rows=origin_rows,
+                    origin_cols=local_pos[source_idx[origin_rows]],
                     fwd_edge_ids=fwd_edge_ids,
                     bwd_edge_ids=bwd_edge_ids,
                     fwd_src_global=fwd_src_global,
@@ -416,6 +421,13 @@ class NumpyBackend(SampledEvaluationMixin):
         plan.exact_only = pick_representation(
             plan.psi_bound, plan.prod_bound
         ).exact_only
+        if plan.exact_only:
+            from repro.obs.metrics import REGISTRY
+
+            REGISTRY.counter(
+                "fp_plan_exact_only_total",
+                "NumPy plans the overflow probe sent to the exact path.",
+            ).inc()
 
     def _fwd_levelsum(self, plan: _Plan) -> float:
         """The per-item forward level-sum bound (lazy; cached on the plan).
@@ -456,10 +468,27 @@ class NumpyBackend(SampledEvaluationMixin):
     # ------------------------------------------------------------------
 
     def _filter_mask(self, plan: _Plan, filters: Collection[Node]) -> Any:
+        """The dense mask of a node-keyed filter set — and its validation.
+
+        This is the numpy backend's one membership check of a filter
+        set: unknown nodes raise :class:`GraphStructureError` with the
+        message of :func:`~repro.graphs.validation.validate_filter_set`.
+        """
         np = self._np
-        mask = np.zeros(plan.n, dtype=bool)
+        to_id = plan.compiled.to_id
+        ids = []
+        missing = []
         for v in filters:
-            mask[plan.index[v]] = True
+            try:
+                ids.append(to_id(v))
+            except MissingNodeError:
+                missing.append(v)
+        if missing:
+            raise GraphStructureError(
+                f"filter set references missing nodes: {missing[:5]!r}"
+            )
+        mask = np.zeros(plan.n, dtype=bool)
+        mask[ids] = True
         return mask
 
     def _mask_from_ids(self, plan: _Plan, filter_ids: Iterable[int]) -> Any:
@@ -470,8 +499,6 @@ class NumpyBackend(SampledEvaluationMixin):
             # Negative ids would wrap (ndarray indexing) and silently
             # filter the wrong node; reject them as unknown nodes.
             if min(ids) < 0 or max(ids) >= plan.n:
-                from repro.exceptions import MissingNodeError
-
                 raise MissingNodeError(min(ids) if min(ids) < 0 else max(ids))
             mask[ids] = True
         return mask
@@ -584,11 +611,12 @@ class NumpyBackend(SampledEvaluationMixin):
         """Receipts per node (``Σ_s ψ_s(v)``, weighted) — batched int64.
 
         Falls back to the exact backend when the plan's overflow probe
-        (or the supplied weights) puts any value near ``2**63``.
+        (or the supplied weights) puts any value near ``2**63``.  The
+        filter set is validated once: by the exact backend on the
+        fallback, by :meth:`_filter_mask` otherwise.
         """
         if not graph.sources:
             raise MissingSourceError("graph has no sources")
-        validate_filter_set(graph, set(filters))
         plan = self.plan_for(graph)
         np = self._np
         if isinstance(items_per_source, Mapping):
@@ -642,7 +670,6 @@ class NumpyBackend(SampledEvaluationMixin):
         if not graph.sources:
             raise MissingSourceError("graph has no sources")
         filter_set = set(filters)
-        validate_filter_set(graph, filter_set)
         plan = self.plan_for(graph)
         if plan.exact_only:
             return self._exact.marginal_gains(graph, filter_set)
@@ -670,7 +697,6 @@ class NumpyBackend(SampledEvaluationMixin):
     ) -> dict[Node, int]:
         """``Greedy_L``'s ``I'(v) = T(v) · dout(v)``, vectorized."""
         filter_set = set(filters)
-        validate_filter_set(graph, filter_set)
         plan = self.plan_for(graph)
         if plan.exact_only:
             return self._exact.simplified_impacts(graph, filter_set)
@@ -957,7 +983,6 @@ class NumpyBackend(SampledEvaluationMixin):
             return self.total_receipts(graph, filters)
         if not graph.sources:
             raise MissingSourceError("graph has no sources")
-        validate_filter_set(graph, set(filters))
         plan = self.plan_for(graph)
         state = self._sampled_state(graph, plan, model)
         if state.exact_only:

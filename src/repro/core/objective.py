@@ -21,7 +21,6 @@ from collections.abc import Collection, Mapping
 from typing import TYPE_CHECKING, Hashable
 
 from repro.graphs.cgraph import CGraph
-from repro.graphs.validation import validate_filter_set
 from repro.propagation.engine import total_receipts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -38,8 +37,11 @@ def phi(
     items_per_source: int | Mapping[Node, int] = 1,
     backend: "str | PropagationBackend | None" = None,
 ) -> int:
-    """``Φ(A, V)``: copies received across all nodes, summed over items."""
-    validate_filter_set(graph, set(filters))
+    """``Φ(A, V)``: copies received across all nodes, summed over items.
+
+    The backend validates ``filters`` (unknown nodes raise
+    :class:`~repro.exceptions.GraphStructureError`), once per call.
+    """
     return total_receipts(
         graph, filters, items_per_source=items_per_source, backend=backend
     )

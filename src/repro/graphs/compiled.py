@@ -114,6 +114,7 @@ class CompiledGraph:
         "n",
         "m",
         "nodes",
+        "_identity",
         "_index",
         "_succ_ids",
         "_pred_ids",
@@ -175,6 +176,7 @@ class CompiledGraph:
         self.n = n
         self.m = len(out_targets)
         self.nodes = nodes
+        self._identity = False
         self._index = index
         self._succ_ids = succ_ids
         self._pred_ids = pred_ids
@@ -330,6 +332,11 @@ class CompiledGraph:
         self.n = n
         self.m = len(out_targets)
         self.nodes = range(n) if nodes is None else nodes
+        # Identity-interned (node ``i`` is the int ``i``): ``to_id``
+        # answers from a bounds check, and the dict index is never built.
+        self._identity = (
+            isinstance(self.nodes, range) and self.nodes == range(n)
+        )
         self._index = None
         self._succ_ids = None
         self._pred_ids = None
@@ -348,14 +355,11 @@ class CompiledGraph:
         self._source_mark = None
         self._reach_masks = None
         self._reach_counts = None
-        self.source_ids = tuple(int(s) for s in source_ids)
+        self.source_ids = tuple(map(int, source_ids))
         if type(out_degree).__module__.startswith("numpy"):
-            self.sink_ids = tuple(
-                int(i) for i in (out_degree == 0).nonzero()[0]
-            )
+            self.sink_ids = tuple((out_degree == 0).nonzero()[0].tolist())
             self.merge_ids = tuple(
-                int(i)
-                for i in ((in_degree > 1) & (out_degree > 0)).nonzero()[0]
+                ((in_degree > 1) & (out_degree > 0)).nonzero()[0].tolist()
             )
         else:
             self.sink_ids = tuple(
@@ -427,8 +431,20 @@ class CompiledGraph:
     # ------------------------------------------------------------------
 
     def to_id(self, node: Node) -> int:
-        """The interned id of ``node``; raises :class:`MissingNodeError`."""
+        """The interned id of ``node``; raises :class:`MissingNodeError`.
+
+        Identity-interned graphs answer in O(1) without the dict, with
+        the dict's semantics: the only key that can match is the int
+        ``hash(node)`` (ids are below ``2^31``, where ``hash(i) == i``),
+        and it matches when it compares equal — so ``True`` is ``1``,
+        ``2.0`` is ``2``, and ``2.5`` or ``"2"`` are missing.
+        """
         try:
+            if self._identity:
+                i = hash(node)
+                if 0 <= i < self.n and i == node:
+                    return i
+                raise KeyError(node)
             return self.index[node]
         except (KeyError, TypeError):
             raise MissingNodeError(node) from None

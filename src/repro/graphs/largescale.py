@@ -52,7 +52,7 @@ from repro.exceptions import (
 )
 from repro.graphs.compiled import CompiledGraph
 from repro.graphs.io import EdgeListStream
-from repro.sketches.hashing import hash_stream
+from repro.sketches.hashing import hash_stream, hash_stream_array
 
 try:  # CSR sort fast path; every entry point works without it.
     import numpy as _np
@@ -299,15 +299,7 @@ def compile_edge_stream(
     out_offsets, out_targets, in_offsets, in_sources = tables
 
     if sources is None:
-        if _np is not None:
-            indeg = in_offsets[1:] - in_offsets[:-1]
-            source_ids = tuple(int(i) for i in (indeg == 0).nonzero()[0])
-        else:
-            source_ids = tuple(
-                i
-                for i in range(n)
-                if in_offsets[i + 1] == in_offsets[i]
-            )
+        source_ids = _root_ids(n, in_offsets)
     else:
         if num_nodes is not None:
             ids = set()
@@ -335,7 +327,41 @@ def compile_edge_stream(
     )
 
 
-def _csr_from_buffers_numpy(n: int, m: int, us: array, vs: array, nodes):
+def _root_ids(n: int, in_offsets) -> tuple[int, ...]:
+    """The in-degree-zero node ids, ascending (the default source set)."""
+    if _np is not None and isinstance(in_offsets, _np.ndarray):
+        return tuple((in_offsets[1:] == in_offsets[:-1]).nonzero()[0].tolist())
+    return tuple(i for i in range(n) if in_offsets[i + 1] == in_offsets[i])
+
+
+def _compile_id_arrays(n: int, us, vs) -> StreamedGraph:
+    """:func:`compile_edge_stream`'s identity path over ``int32`` arrays.
+
+    The same checks, vectorized: ids in ``[0, n)`` (the first offending
+    edge in input order is reported), then no self-loops and no
+    duplicate edges (:func:`_csr_from_buffers_numpy`).  Sources default
+    to the in-degree-zero nodes.
+    """
+    np = _np
+    bad_u = (us < 0) | (us >= n)
+    bad = bad_u | (vs < 0) | (vs >= n)
+    if bad.any():
+        e = int(bad.argmax())
+        raise MissingNodeError(int(us[e] if bad_u[e] else vs[e]))
+    out_offsets, out_targets, in_offsets, in_sources = (
+        _csr_from_buffers_numpy(n, len(us), us, vs, range(n))
+    )
+    return _wrap_tables(
+        n=n,
+        out_offsets=out_offsets,
+        out_targets=out_targets,
+        in_offsets=in_offsets,
+        in_sources=in_sources,
+        source_ids=_root_ids(n, in_offsets),
+    )
+
+
+def _csr_from_buffers_numpy(n: int, m: int, us, vs, nodes):
     """Forward + reverse CSR by stable sorts.
 
     Ordering contract (must match ``CompiledGraph.__init__``): forward
@@ -350,8 +376,8 @@ def _csr_from_buffers_numpy(n: int, m: int, us: array, vs: array, nodes):
         empty_off = np.zeros(n + 1, dtype=np.int64)
         empty = np.empty(0, dtype=np.int32)
         return empty_off, empty, empty_off.copy(), empty
-    us_a = np.frombuffer(us, dtype=np.int32)
-    vs_a = np.frombuffer(vs, dtype=np.int32)
+    us_a = np.asarray(us, dtype=np.int32)  # zero-copy for array("i")
+    vs_a = np.asarray(vs, dtype=np.int32)
     loops = us_a == vs_a
     if loops.any():
         u = nodes[int(us_a[int(loops.nonzero()[0][0])])]
@@ -468,9 +494,7 @@ def compile_edge_list(
     if sources is None and stream.sources:
         sources = stream.sources
     if sources is None:
-        source_ids = tuple(
-            i for i in range(n) if in_offsets[i + 1] == in_offsets[i]
-        )
+        source_ids = _root_ids(n, in_offsets)
     else:
         ids = set()
         for s in sources:
@@ -505,6 +529,19 @@ def scale_dag_size(scale: float) -> int:
 #: Second splitmix stream for parent draws (decorrelated from routing).
 _PARENT_STREAM = 0x632BE59BD9B4E019
 
+#: Most parents a non-spontaneous node draws (its degree is 1..this).
+_MAX_PARENTS = 5
+
+#: Widest window of the parent level a node draws its parents from.
+_PARENT_WINDOW = 48
+
+
+def _scale_dag_shape(scale: float) -> tuple[int, int, int]:
+    """``(n, levels, per)``: node count, level count and level width."""
+    n = scale_dag_size(scale)
+    levels = max(8, int(round(40.0 * sqrt(scale))))
+    return n, levels, max(1, n // levels)
+
 
 def scale_dag_edges(
     scale: float = 1.0,
@@ -521,10 +558,12 @@ def scale_dag_edges(
     construction and compiles without buffering.  The stream is a pure
     function of ``(scale, seed)`` — byte-reproducible across runs,
     platforms and NumPy availability.
+
+    This generator is the reference definition: :func:`scale_dag`
+    builds the same edges, in the same order, with array kernels when
+    NumPy is present.
     """
-    n = scale_dag_size(scale)
-    levels = max(8, int(round(40.0 * sqrt(scale))))
-    per = max(1, n // levels)
+    n, levels, per = _scale_dag_shape(scale)
     parent_seed = seed ^ _PARENT_STREAM
     for v in range(per, n):
         level = min(v // per, levels - 1)
@@ -532,7 +571,7 @@ def scale_dag_edges(
         if h % 1000 < 300:
             continue  # spontaneous: a fresh root
         hp = h >> 10
-        degree = 1 + hp % 5
+        degree = 1 + hp % _MAX_PARENTS
         back = (hp >> 3) % 4
         j = level - 1 - back
         if j < 0:
@@ -543,7 +582,7 @@ def scale_dag_edges(
         # than the whole of it: nearby nodes share windows, so parent
         # sets overlap and paths re-converge — the information
         # multiplicity the filter-placement objective actually measures.
-        window = width if width < 48 else 48
+        window = width if width < _PARENT_WINDOW else _PARENT_WINDOW
         base = lo + (hp >> 6) % (width - window + 1)
         picked: list[int] = []
         for t in range(degree):
@@ -554,17 +593,54 @@ def scale_dag_edges(
             yield (u, v)
 
 
+def _scale_dag_arrays(scale: float, seed: int):
+    """:func:`scale_dag_edges` as two ``int32`` arrays ``(us, vs)``.
+
+    One pass of array kernels over all nodes: the routing hash of every
+    node, then a ``(nodes × 5)`` matrix of parent draws.  A draw is kept
+    when its column is below the node's degree and no earlier column of
+    its row drew the same parent — exactly the stream's "skip a
+    duplicate draw" rule, so reading the kept cells row-major yields
+    the stream's edges in the stream's order.
+    """
+    np = _np
+    n, levels, per = _scale_dag_shape(scale)
+    v = np.arange(per, n, dtype=np.uint64)
+    h = hash_stream_array(seed, v, np)
+    grown = h % 1000 >= 300  # the rest are spontaneous roots
+    v = v[grown]
+    hp = h[grown] >> 10
+    vi = v.astype(np.int64)
+    level = np.minimum(vi // per, levels - 1)
+    j = np.maximum(level - 1 - ((hp >> 3) % 4).astype(np.int64), 0)
+    window = min(per, _PARENT_WINDOW)  # every parent level is per wide
+    base = j * per + ((hp >> 6) % (per - window + 1)).astype(np.int64)
+    t = np.arange(_MAX_PARENTS, dtype=np.uint64)
+    draws = hash_stream_array(seed ^ _PARENT_STREAM, (v << 3)[:, None] | t, np)
+    u = base[:, None] + (draws % window).astype(np.int64)
+    keep = t < (hp % _MAX_PARENTS + 1)[:, None]
+    for c in range(1, _MAX_PARENTS):
+        keep[:, c] &= (u[:, :c] != u[:, c:c + 1]).all(axis=1)
+    us = u[keep].astype(np.int32)
+    vs = np.broadcast_to(vi[:, None], u.shape)[keep].astype(np.int32)
+    return us, vs
+
+
 def scale_dag(scale: float = 1.0, seed: int = 7) -> StreamedGraph:
     """Compile the scale-dag at ``scale`` via the streamed path.
 
     ``scale=1.0`` is the 10^5-node tier, ``scale=10.0`` the 10^6 one;
     memory stays at the compiled-table footprint (a few int32 words per
     edge) regardless of scale.  Sources default to the in-degree-zero
-    nodes: all of level 0 plus every spontaneous node.
+    nodes: all of level 0 plus every spontaneous node.  With NumPy the
+    edge arrays come from :func:`_scale_dag_arrays` in one vectorized
+    pass; without it the :func:`scale_dag_edges` stream is compiled.
+    Both give identical tables.
     """
-    return compile_edge_stream(
-        scale_dag_edges(scale, seed), num_nodes=scale_dag_size(scale)
-    )
+    n = scale_dag_size(scale)
+    if _np is None:
+        return compile_edge_stream(scale_dag_edges(scale, seed), num_nodes=n)
+    return _compile_id_arrays(n, *_scale_dag_arrays(scale, seed))
 
 
 # ----------------------------------------------------------------------

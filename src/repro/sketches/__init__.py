@@ -24,7 +24,12 @@ from repro.sketches.celf import (
     sketch_greedy_all,
 )
 from repro.sketches.gains import SketchGainEngine
-from repro.sketches.hashing import hash_stream, source_hashes, splitmix64
+from repro.sketches.hashing import (
+    hash_stream,
+    hash_stream_array,
+    source_hashes,
+    splitmix64,
+)
 
 __all__ = [
     "DEFAULT_RESCORE_LIMIT",
@@ -36,6 +41,7 @@ __all__ = [
     "build_reach_sketches",
     "epsilon_for_k",
     "hash_stream",
+    "hash_stream_array",
     "k_for_epsilon",
     "sketch_greedy_all",
     "source_hashes",

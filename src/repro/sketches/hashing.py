@@ -44,6 +44,25 @@ def hash_stream(seed: int, key: int) -> int:
     return splitmix64(((seed & _MASK64) * _MIX1 + key) & _MASK64)
 
 
+def hash_stream_array(seed: int, keys, np):
+    """:func:`hash_stream` over a ``uint64`` array of keys, vectorized.
+
+    Bit-identical to ``hash_stream(seed, k)`` for every key ``k`` in
+    ``[0, 2^64)``: the seed term is reduced in Python ints, and the
+    array arithmetic wraps modulo ``2^64`` exactly as the masked scalar
+    mix does.  ``np`` is the :mod:`numpy` module.
+    """
+    x = np.asarray(keys, dtype=np.uint64) + np.uint64(
+        ((seed & _MASK64) * _MIX1 + GOLDEN_GAMMA) & _MASK64
+    )
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MIX1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX2)
+    x ^= x >> np.uint64(31)
+    return x
+
+
 def source_hashes(seed: int, source_ids, numpy_module=None):
     """Per-source register values for the bottom-k sketches.
 
@@ -58,15 +77,8 @@ def source_hashes(seed: int, source_ids, numpy_module=None):
     """
     sentinel = _MASK64
     if numpy_module is not None:
-        np = numpy_module
-        x = np.asarray(source_ids, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            x = (np.uint64(seed & _MASK64) * np.uint64(_MIX1)) + x
-            x = x + np.uint64(GOLDEN_GAMMA)
-            x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-            x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-            x = x ^ (x >> np.uint64(31))
-        x[x == np.uint64(sentinel)] = np.uint64(0)
+        x = hash_stream_array(seed, source_ids, numpy_module)
+        x[x == numpy_module.uint64(sentinel)] = numpy_module.uint64(0)
         return x
     values = []
     for s in source_ids:

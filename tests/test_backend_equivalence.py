@@ -178,6 +178,89 @@ def test_backends_reject_unknown_filter_nodes_identically(backend_name):
             query()
 
 
+def _phi_backends():
+    """(label, graph, backend) triples covering every validation path."""
+    plain = CGraph([("s", "a"), ("a", "b"), ("s", "b")])
+    exact_only = NumpyBackend()
+    overflow = diamond_chain(70)
+    assert exact_only.plan_for(overflow).exact_only
+    return (
+        ("python", plain, get_backend("python")),
+        ("numpy", plain, NumpyBackend()),
+        ("numpy-exact-only", overflow, exact_only),
+    )
+
+
+@pytest.mark.parametrize("case", range(3), ids=("python", "numpy", "exact-only"))
+def test_phi_rejects_a_missing_filter_once(case, monkeypatch):
+    """Φ validates the filter set at the backend boundary, exactly once:
+    a missing filter raises GraphStructureError on every path, and a
+    valid set is membership-checked by one validation pass."""
+    import repro.backends.python_backend as python_backend
+    from repro.core.objective import phi
+    from repro.exceptions import GraphStructureError
+
+    _, graph, backend = _phi_backends()[case]
+    with pytest.raises(GraphStructureError, match="missing nodes"):
+        phi(graph, ["s", "ghost"], backend=backend)
+    calls = []
+    real = python_backend.validate_filter_set
+    monkeypatch.setattr(
+        python_backend,
+        "validate_filter_set",
+        lambda g, f: calls.append(f) or real(g, f),
+    )
+    phi(graph, list(graph.nodes())[:2], backend=backend)
+    # The python backend (and numpy's exact-only delegate) validate in
+    # validate_filter_set; the numpy fast path validates in its mask.
+    assert len(calls) == (0 if case == 1 else 1)
+
+
+def test_max_objective_on_identity_graphs_builds_no_index():
+    """F(V) on a table-built identity graph checks 10^3 filter nodes by
+    bounds, never materializing the n-entry dict index."""
+    from repro.core.objective import max_objective
+    from repro.graphs.largescale import scale_dag
+
+    graph = scale_dag(0.01, seed=0)
+    backend = NumpyBackend()
+    expected = max_objective(graph, backend="python")
+    graph = scale_dag(0.01, seed=0)  # the python sweep built the index
+    assert max_objective(graph, backend=backend) == expected
+    assert graph.compiled()._index is None
+
+
+def _per_level_origins(compiled, lvl):
+    """The plan's origin rows/cols by their definition, one level."""
+    members = list(compiled.level_members(lvl))
+    rows = [
+        row
+        for row, s in enumerate(compiled.source_ids)
+        if compiled.depth[s] == lvl
+    ]
+    return rows, [members.index(compiled.source_ids[r]) for r in rows]
+
+
+def test_plan_origins_match_the_per_level_definition():
+    """origin_rows/origin_cols (one stable sort of source depths) equal
+    the brute-force per-level scan on many-source multi-level DAGs."""
+    from strategies import reach_cases, standard_cases
+
+    backend = NumpyBackend()
+    for case in reach_cases() + standard_cases():
+        graph = case.build()
+        compiled = graph.compiled()
+        plan = backend.plan_for(graph)
+        assert len(plan.levels) == compiled.num_levels
+        depths = {compiled.depth[s] for s in compiled.source_ids}
+        if case in reach_cases():
+            assert len(depths) > 1, case.name  # sources on several levels
+        for lvl, level in enumerate(plan.levels):
+            rows, cols = _per_level_origins(compiled, lvl)
+            assert level.origin_rows.tolist() == rows, (case.name, lvl)
+            assert level.origin_cols.tolist() == cols, (case.name, lvl)
+
+
 def test_use_backend_restores_default():
     from repro.backends.registry import get_default_backend
 

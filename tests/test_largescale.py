@@ -31,8 +31,10 @@ from repro.graphs.cgraph import CGraph
 from repro.graphs.io import write_edge_list
 from repro.graphs.largescale import (
     StreamedGraph,
+    _compile_id_arrays,
     _csr_from_buffers_numpy,
     _csr_from_buffers_python,
+    _scale_dag_arrays,
     compile_edge_list,
     compile_edge_stream,
     load_compiled,
@@ -43,10 +45,11 @@ from repro.graphs.largescale import (
 )
 
 try:
-    import numpy  # noqa: F401
+    import numpy
 
     HAVE_NUMPY = True
 except Exception:  # pragma: no cover - the no-numpy CI job
+    numpy = None
     HAVE_NUMPY = False
 
 #: A small irregular DAG: merge nodes, a diamond, an isolated-ish tail.
@@ -243,6 +246,108 @@ def test_scale_dag_compiles_with_spontaneous_sources():
     # Sources are exactly the in-degree-zero nodes.
     for s in sorted(graph.sources)[:20]:
         assert graph.in_degree(s) == 0
+
+
+#: (scale, n, levels, per): windows narrower than 48 (per 1, 12, 25),
+#: clamped last levels (n % levels != 0), and wide multi-window levels.
+GENERATOR_SCALES = (1e-9, 0.00013, 0.001, 0.002, 0.0047, 0.02, 0.1)
+#: Seeds the masked 64-bit mix must fold the same way on both paths:
+#: negative, above 2^64, and with the 64-bit high bit set.
+GENERATOR_SEEDS = (0, 7, -3, 2**64 + 11, 2**63 + 5)
+
+
+def full_tables_of(graph):
+    """``tables_of`` plus the levelization, as plain int lists."""
+    compiled = graph.compiled()
+    tables = tables_of(graph)
+    tables.update(
+        topo_order=[int(x) for x in compiled.topo_order],
+        depth=[int(x) for x in compiled.depth],
+        level_offsets=[int(x) for x in compiled.level_offsets],
+    )
+    return tables
+
+
+@pytest.mark.parametrize("seed", GENERATOR_SEEDS)
+@pytest.mark.parametrize("scale", GENERATOR_SCALES)
+def test_scale_dag_equals_the_compiled_stream(scale, seed):
+    """``scale_dag`` (array kernels with NumPy) builds table for table
+    what compiling the reference edge stream builds."""
+    n = scale_dag_size(scale)
+    reference = compile_edge_stream(
+        scale_dag_edges(scale, seed), num_nodes=n
+    )
+    assert full_tables_of(scale_dag(scale, seed)) == full_tables_of(
+        reference
+    )
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the array kernels need numpy")
+@pytest.mark.parametrize("seed", GENERATOR_SEEDS)
+def test_scale_dag_arrays_replay_the_stream_in_order(seed):
+    for scale in GENERATOR_SCALES:
+        us, vs = _scale_dag_arrays(scale, seed)
+        assert us.dtype == vs.dtype == numpy.int32
+        assert list(zip(us.tolist(), vs.tolist())) == list(
+            scale_dag_edges(scale, seed)
+        )
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the array kernels need numpy")
+def test_array_ingest_keeps_the_stream_checks():
+    def arrays(*edges):
+        return (
+            numpy.array([u for u, _ in edges], dtype=numpy.int32),
+            numpy.array([v for _, v in edges], dtype=numpy.int32),
+        )
+
+    with pytest.raises(MissingNodeError) as out_of_range:
+        _compile_id_arrays(4, *arrays((0, 1), (2, 7), (9, 1)))
+    assert out_of_range.value.node == 7  # first offending edge's id
+    with pytest.raises(MissingNodeError):
+        _compile_id_arrays(4, *arrays((0, 1), (-1, 2)))
+    with pytest.raises(GraphStructureError, match="self-loop"):
+        _compile_id_arrays(4, *arrays((0, 1), (2, 2)))
+    with pytest.raises(GraphStructureError, match="duplicate edge"):
+        _compile_id_arrays(4, *arrays((0, 1), (1, 2), (0, 1)))
+    graph = _compile_id_arrays(4, *arrays((0, 2), (1, 2), (2, 3)))
+    assert tables_of(graph) == tables_of(
+        compile_edge_stream(iter([(0, 2), (1, 2), (2, 3)]), num_nodes=4)
+    )
+
+
+def test_identity_lookup_matches_the_dict_index():
+    """Identity-interned graphs answer ``to_id``/``in`` without the dict,
+    with the dict's answer for every key."""
+    from decimal import Decimal
+    from fractions import Fraction
+
+    graph = scale_dag(0.0001, seed=0)  # n = 10
+    compiled = graph.compiled()
+    keys = [
+        0, 9, 10, -1, True, False, 3.0, -0.0, 3.5, float("nan"),
+        float("inf"), "3", None, (3,), Fraction(4, 1), Decimal(5),
+        complex(2, 0), 2**61 - 1, 2**61 + 2, 2**64 + 3,
+    ]
+    if HAVE_NUMPY:
+        keys += [numpy.int64(4), numpy.float64(6.0), numpy.uint8(11)]
+    assert compiled._index is None
+    answers = []
+    for key in keys:
+        try:
+            answers.append(compiled.to_id(key))
+        except MissingNodeError:
+            answers.append("missing")
+        assert (key in graph) == (answers[-1] != "missing")
+    assert compiled._index is None  # answered without building the dict
+    for unhashable in ([3], {3: 3}):
+        with pytest.raises(MissingNodeError):
+            compiled.to_id(unhashable)
+        assert unhashable not in graph
+    index = compiled.index  # now built: the reference answers
+    expected = [index.get(key, "missing") for key in keys]
+    assert answers == expected
+    assert [type(a) for a in answers] == [type(e) for e in expected]
 
 
 # ----------------------------------------------------------------------

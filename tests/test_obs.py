@@ -339,6 +339,24 @@ def test_sampling_world_cache_metrics():
     assert counter.value(outcome="hit") == hit0 + 1
 
 
+def test_plan_exact_only_counter_moves_on_overflow():
+    """fp_plan_exact_only_total counts the plans the int64 overflow probe
+    sends to the exact path — and only those."""
+    pytest.importorskip("numpy")
+    from repro.backends.numpy_backend import NumpyBackend
+    from tests.conftest import diamond_chain
+
+    counter = REGISTRY.counter("fp_plan_exact_only_total")
+    before = counter.value()
+    backend = NumpyBackend()
+    assert backend.plan_for(diamond_chain(10)).exact_only is False
+    assert counter.value() == before
+    assert backend.plan_for(diamond_chain(70)).exact_only is True
+    assert counter.value() == before + 1
+    backend.plan_for(diamond_chain(70))  # a fresh graph: a fresh verdict
+    assert counter.value() == before + 2
+
+
 # ----------------------------------------------------------------------
 # CLI --trace / --profile
 # ----------------------------------------------------------------------

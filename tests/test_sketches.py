@@ -288,6 +288,28 @@ def test_lanes_produce_bit_identical_registers(dataset, k):
     assert via_numpy.is_exact() == via_python.is_exact()
 
 
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the array mix needs numpy")
+@pytest.mark.parametrize(
+    "seed", [0, 7, -1, -(2**40) - 3, 2**64 + 5, 2**63, 2**63 + 2**62 + 9]
+)
+def test_hash_stream_array_matches_the_scalar_mix(seed):
+    """The one vectorized splitmix64 is bit-identical to hash_stream on
+    boundary keys, for negative, > 2^64 and high-bit seeds."""
+    import numpy as np
+
+    from repro.sketches.hashing import hash_stream, hash_stream_array
+
+    keys = [0, 1, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1, 123456789]
+    mixed = hash_stream_array(seed, np.array(keys, dtype=np.uint64), np)
+    assert mixed.dtype == np.uint64
+    assert mixed.tolist() == [hash_stream(seed, k) for k in keys]
+    # Matrix shapes (the generator's parent draws) mix element-wise.
+    grid = np.array(keys[:6], dtype=np.uint64).reshape(2, 3)
+    assert hash_stream_array(seed, grid, np).tolist() == [
+        [hash_stream(seed, k) for k in row] for row in grid.tolist()
+    ]
+
+
 def test_rebuild_is_byte_stable_and_seed_sensitive():
     compiled = overflow_graph().compiled()
     first = build_reach_sketches(compiled, k=16, seed=0)
